@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check experiments examples trace serve load fmt vet lint mrlint clean
+.PHONY: all build test race cover cover-check bench bench-compare bench-short microbench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check experiments examples trace serve load fmt vet lint mrlint clean
 
 all: build test
 
@@ -18,10 +18,26 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# The measured benchmark suite (one line per paper table/figure plus
-# kernel micro-benchmarks).
+# The repository's benchmark (bench/README.md): five workloads, the
+# end-to-end metrics and the per-layer ledger, written to $(OUT).
+# `make bench-compare BASE=base.json HEAD=head.json` prints the verdict
+# table and fails on a regressed row; `make bench-short` is the CI smoke
+# (one 2 s run per workload, non-zero exit on any failed operation).
+OUT ?= head.json
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) run ./bench -out $(OUT) > /dev/null
+
+bench-compare:
+	$(GO) run ./bench -compare $(BASE) $(HEAD)
+
+bench-short:
+	$(GO) run ./bench -short > /dev/null
+
+# go test micro-benchmarks: one line per paper table/figure plus the
+# kernel rows. The four kernels this repository's tasks run are
+# `go test -bench Kernel ./internal/matrix ./internal/lu`.
+microbench:
+	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # Regenerate every evaluation artifact (Tables 1-3, Figures 6-8, §7.4,
 # §7.2, §5 nb tuning, §8 engines/spark).

@@ -263,15 +263,14 @@ func BenchmarkOrderScaling(b *testing.B) {
 func BenchmarkKernelMul(b *testing.B) {
 	x := workload.Random(benchOrder, 20)
 	y := workload.Random(benchOrder, 21)
+	yT := y.Transpose()
 	variants := []struct {
 		name string
 		fn   func() error
 	}{
 		{"ikj", func() error { _, err := matrix.Mul(x, y); return err }},
 		{"naive-ijk", func() error { _, err := matrix.MulNaiveColumnOrder(x, y); return err }},
-		{"transB", func() error { _, err := matrix.MulTransB(x, y.Transpose()); return err }},
-		{"blocked", func() error { _, err := matrix.MulBlocked(x, y, 0); return err }},
-		{"parallel", func() error { _, err := matrix.MulParallel(x, y); return err }},
+		{"transB", func() error { _, err := matrix.MulTransB(x, yT); return err }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -286,22 +285,12 @@ func BenchmarkKernelMul(b *testing.B) {
 
 func BenchmarkKernelLUDecompose(b *testing.B) {
 	a := workload.Random(benchOrder, 22)
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.Decompose(a); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lu.Decompose(a); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.DecomposeBlocked(a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkKernelTriangularInverse(b *testing.B) {

@@ -423,12 +423,12 @@ func (st *pipelineState) runLevelJobMulti(node *nodeInput, h int, h1 *luHandle, 
 		ctx.IncrCounter("u2.elements", int64(hi-lo)*int64(h))
 		return nil
 	}
-	readA := func(rd fsReader, i, s int) (*matrix.Dense, error) {
+	readA := func(rd nodeReader, i, s int) (*matrix.Dense, error) {
 		rlo, rhi := geom.rowBand(i)
 		klo, khi := geom.seg(s)
 		return readRegion(rd, res.l2, rlo, rhi, klo, khi)
 	}
-	readBT := func(rd fsReader, j, s int) (*matrix.Dense, error) {
+	readBT := func(rd nodeReader, j, s int) (*matrix.Dense, error) {
 		clo, chi := geom.colBand(j)
 		klo, khi := geom.seg(s)
 		return readRegionTransposed(rd, res.u2, clo, chi, klo, khi)
@@ -576,39 +576,16 @@ func computeBBlock(rd nodeReader, st *pipelineState, dir string, r, f1, f2, nbot
 	return st.fs.WriteMatrix(fmt.Sprintf("%s/OUT/A.%d", dir, r), a4blk)
 }
 
-// readRegionTransposed reads the region covering rows [clo, chi) and
-// columns [klo, khi) of the transpose of a U2 reference whose files are
-// stored transposed, without ever materializing the normal orientation.
+// readRegionTransposed reads rows [clo, chi) x cols [klo, khi) of the
+// transpose of a U2 reference, decoding each file straight into the
+// transposed orientation (a no-op for files already stored transposed).
 // In the transposed frame rows index U2's columns and columns index U2's
 // rows, so the multi-round segment reads pass the inner-dimension
 // segment as [klo, khi).
-func readRegionTransposed(rd fsReader, u2 matRef, clo, chi, klo, khi int) (*matrix.Dense, error) {
-	// Build the transposed frame: file covering cols [C0, C1) of U2 holds
-	// rows [C0, C1) of U2^T.
-	t := matRef{Rows: u2.Cols, Cols: u2.Rows}
-	for _, b := range u2.Blocks {
-		if !b.Transposed {
-			// Mixed orientation should not happen; fall back to the
-			// normal path by transposing after read.
-			normal, err := readRegion(rd, u2, klo, khi, clo, chi)
-			if err != nil {
-				return nil, err
-			}
-			return normal.Transpose(), nil
-		}
-		t.Blocks = append(t.Blocks, blockFile{Path: b.Path, R0: b.C0, R1: b.C1, C0: b.R0, C1: b.R1})
-	}
-	return readRegion(rd, t, clo, chi, klo, khi)
-}
-
-// readUT assembles U^T for a handle, used by the transposed solve kernel.
-func (hd *luHandle) readUT(rd fsReader) (*matrix.Dense, error) {
-	if hd.leaf && hd.uFile.Transposed {
-		return rd.readMatrix(hd.uFile.Path)
-	}
-	u, err := hd.readU(rd)
-	if err != nil {
+func readRegionTransposed(rd nodeReader, u2 matRef, clo, chi, klo, khi int) (*matrix.Dense, error) {
+	out := matrix.New(chi-clo, khi-klo)
+	if err := readRegionInto(rd, u2, klo, khi, clo, chi, out, 0, 0, true); err != nil {
 		return nil, err
 	}
-	return u.Transpose(), nil
+	return out, nil
 }

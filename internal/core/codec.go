@@ -99,66 +99,28 @@ func writeIndexed(fs *dfs.FS, path string, b indexedBlock) error {
 	if b.ColIdx != nil && len(b.ColIdx) != b.Data.Cols {
 		return fmt.Errorf("core: writeIndexed %s: %d col indices for %d cols", path, len(b.ColIdx), b.Data.Cols)
 	}
-	var buf bytes.Buffer
-	w := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(indexedMagic)
-	w(uint32(len(b.RowIdx)))
-	w(uint32(len(b.ColIdx)))
+	size := 12 + 4*int64(len(b.RowIdx)+len(b.ColIdx)) + matrix.BinarySize(b.Data.Rows, b.Data.Cols)
+	buf := make([]byte, 0, size)
+	for _, v := range []int{int(indexedMagic), len(b.RowIdx), len(b.ColIdx)} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
 	for _, v := range b.RowIdx {
-		w(uint32(v))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
 	for _, v := range b.ColIdx {
-		w(uint32(v))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	if err := matrix.WriteBinary(&buf, b.Data); err != nil {
-		return err
-	}
-	fs.Write(path, buf.Bytes())
+	fs.Write(path, matrix.AppendBinary(buf, b.Data))
 	return nil
 }
 
 // readIndexed loads an indexed block written by writeIndexed.
-func readIndexed(rd fsRawReader, path string) (indexedBlock, error) {
-	data, err := rd.read(path)
+func readIndexed(rd nodeReader, path string) (indexedBlock, error) {
+	rowIdx, colIdx, payload, err := readIndexedHeader(rd, path)
 	if err != nil {
 		return indexedBlock{}, err
 	}
-	r := bytes.NewReader(data)
-	var magic, nr, nc uint32
-	for _, p := range []*uint32{&magic, &nr, &nc} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return indexedBlock{}, fmt.Errorf("core: readIndexed %s: %w", path, err)
-		}
-	}
-	if magic != indexedMagic {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: bad magic %#x", path, magic)
-	}
-	if nr > maxCodecDim || nc > maxCodecDim {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s: implausible index counts %dx%d", path, nr, nc)
-	}
-	readIdx := func(n uint32) ([]int, error) {
-		if n == 0 {
-			return nil, nil
-		}
-		out := make([]int, n)
-		for i := range out {
-			var v uint32
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-				return nil, err
-			}
-			out[i] = int(v)
-		}
-		return out, nil
-	}
-	rowIdx, err := readIdx(nr)
-	if err != nil {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s rows: %w", path, err)
-	}
-	colIdx, err := readIdx(nc)
-	if err != nil {
-		return indexedBlock{}, fmt.Errorf("core: readIndexed %s cols: %w", path, err)
-	}
-	m, err := matrix.ReadBinary(r)
+	m, err := matrix.DecodeBinary(payload)
 	if err != nil {
 		return indexedBlock{}, fmt.Errorf("core: readIndexed %s payload: %w", path, err)
 	}
@@ -171,15 +133,42 @@ func readIndexed(rd fsRawReader, path string) (indexedBlock, error) {
 	return indexedBlock{RowIdx: rowIdx, ColIdx: colIdx, Data: m}, nil
 }
 
-// fsRawReader mirrors fsReader for raw byte files, again so reads are
-// attributed to the executing node.
-type fsRawReader interface {
-	read(path string) ([]byte, error)
-}
-
-func (r nodeReader) read(path string) ([]byte, error) {
-	if r.node >= 0 {
-		return r.fs.ReadFrom(path, r.node)
+// readIndexedHeader reads an indexed block's index vectors and returns
+// its still-encoded payload (a read-only view of the stored bytes), for
+// readers that decode rows straight into place. The whole file is in
+// hand, so the header-declared index counts are checked against the bytes
+// actually present before anything is sized by them.
+func readIndexedHeader(rd nodeReader, path string) (rowIdx, colIdx []int, payload []byte, err error) {
+	data, err := rd.read(path)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return r.fs.Read(path)
+	if len(data) < 12 {
+		return nil, nil, nil, fmt.Errorf("core: readIndexed %s: %d-byte header", path, len(data))
+	}
+	magic := binary.LittleEndian.Uint32(data)
+	nr, nc := binary.LittleEndian.Uint32(data[4:]), binary.LittleEndian.Uint32(data[8:])
+	if magic != indexedMagic {
+		return nil, nil, nil, fmt.Errorf("core: readIndexed %s: bad magic %#x", path, magic)
+	}
+	if nr > maxCodecDim || nc > maxCodecDim {
+		return nil, nil, nil, fmt.Errorf("core: readIndexed %s: implausible index counts %dx%d", path, nr, nc)
+	}
+	rest := data[12:]
+	if int64(len(rest)) < 4*(int64(nr)+int64(nc)) {
+		return nil, nil, nil, fmt.Errorf("core: readIndexed %s: %d+%d indices in %d bytes", path, nr, nc, len(rest))
+	}
+	readIdx := func(n uint32) []int {
+		if n == 0 {
+			return nil
+		}
+		out := make([]int, n)
+		for i := range out {
+			out[i] = int(binary.LittleEndian.Uint32(rest[4*i:]))
+		}
+		rest = rest[4*n:]
+		return out
+	}
+	rowIdx, colIdx = readIdx(nr), readIdx(nc)
+	return rowIdx, colIdx, rest, nil
 }

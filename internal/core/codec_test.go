@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/dfs"
@@ -110,5 +111,51 @@ func TestReadIndexedCorrupt(t *testing.T) {
 	}
 	if _, err := readIndexed(masterReader(fs), "absent"); err == nil {
 		t.Fatal("missing block accepted")
+	}
+}
+
+// TestReadIndexedTrustsTheFileNotItsHeaders: index counts and payload
+// dimensions are believed only when the bytes held can back them.
+func TestReadIndexedTrustsTheFileNotItsHeaders(t *testing.T) {
+	fs := dfs.New(1, 1)
+	b := indexedBlock{RowIdx: []int{2, 5}, ColIdx: []int{1, 3, 4}, Data: workload.RandomRect(2, 3, 83)}
+	if err := writeIndexed(fs, "good", b); err != nil {
+		t.Fatal(err)
+	}
+	good, err := fs.Read("good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(good)) != 12+4*5+matrix.BinarySize(2, 3) {
+		t.Fatalf("encoded size %d", len(good))
+	}
+	mutate := func(f func(d []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	cases := map[string][]byte{
+		"short header": good[:10],
+		"index counts beyond the file": mutate(func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[4:], 1<<24)
+			binary.LittleEndian.PutUint32(d[8:], 1<<24)
+			return d
+		}),
+		"index count over the cap": mutate(func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[4:], 1<<24+1)
+			return d
+		}),
+		"payload dims beyond the file": mutate(func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[12+20+4:], 1<<24)
+			return d
+		}),
+		"truncated payload": good[:len(good)-8],
+		"index/shape mismatch": mutate(func(d []byte) []byte {
+			// One row index fewer: the payload then starts 4 bytes early.
+			binary.LittleEndian.PutUint32(d[4:], 1)
+			return d
+		}),
+	}
+	for name, data := range cases {
+		fs.Write("bad", data)
+		if _, err := readIndexed(masterReader(fs), "bad"); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -44,64 +44,77 @@ func (hd *luHandle) fileCount() int {
 	return hd.h1.fileCount() + hd.h2.fileCount() + len(hd.l2.Blocks)
 }
 
-// readL assembles the full unit lower triangular factor L. For internal
-// nodes it recursively assembles L1 and L3 and permutes L2' by P2 on the
-// fly ("L2 is constructed only as it is read from HDFS", Section 5.3).
-func (hd *luHandle) readL(rd fsReader) (*matrix.Dense, error) {
-	if hd.leaf {
-		m, err := rd.readMatrix(hd.lFile.Path)
-		if err != nil {
-			return nil, fmt.Errorf("core: readL: %w", err)
-		}
-		return m, nil
-	}
-	l1, err := hd.h1.readL(rd)
-	if err != nil {
-		return nil, err
-	}
-	l2p, err := readAll(rd, hd.l2)
-	if err != nil {
-		return nil, fmt.Errorf("core: readL L2': %w", err)
-	}
-	l3, err := hd.h2.readL(rd)
-	if err != nil {
-		return nil, err
-	}
+// leafRef wraps a leaf's single factor file as an n x n reference.
+func (hd *luHandle) leafRef(f blockFile) matRef {
+	return matRef{Rows: hd.n, Cols: hd.n, Blocks: []blockFile{f}}
+}
+
+// readL assembles the full unit lower triangular factor L.
+func (hd *luHandle) readL(rd nodeReader) (*matrix.Dense, error) {
 	out := matrix.New(hd.n, hd.n)
-	out.SetBlock(0, 0, l1)
-	out.SetBlock(hd.h, 0, hd.h2.p.ApplyRows(l2p))
-	out.SetBlock(hd.h, hd.h, l3)
+	if err := hd.readLInto(rd, out, 0); err != nil {
+		return nil, fmt.Errorf("core: readL: %w", err)
+	}
 	return out, nil
 }
 
-// readU assembles the full upper triangular factor U in normal
-// orientation (transposed storage is undone during the read).
-func (hd *luHandle) readU(rd fsReader) (*matrix.Dense, error) {
+// readLInto decodes L into dst's diagonal square starting at (off, off).
+// Internal nodes recurse into the same destination for L1 and L3 and
+// permute L2' by P2 on the way in ("L2 is constructed only as it is read
+// from HDFS", Section 5.3).
+func (hd *luHandle) readLInto(rd nodeReader, dst *matrix.Dense, off int) error {
 	if hd.leaf {
-		m, err := rd.readMatrix(hd.uFile.Path)
-		if err != nil {
-			return nil, fmt.Errorf("core: readU: %w", err)
-		}
-		if hd.uFile.Transposed {
-			m = m.Transpose()
-		}
-		return m, nil
+		return readRegionInto(rd, hd.leafRef(hd.lFile), 0, hd.n, 0, hd.n, dst, off, off, false)
 	}
-	u1, err := hd.h1.readU(rd)
+	if err := hd.h1.readLInto(rd, dst, off); err != nil {
+		return err
+	}
+	l2p, err := readAll(rd, hd.l2)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("L2': %w", err)
 	}
-	u2, err := readAll(rd, hd.u2)
-	if err != nil {
-		return nil, fmt.Errorf("core: readU U2: %w", err)
+	for i, src := range hd.h2.p {
+		copy(dst.Row(off + hd.h + i)[off:off+hd.h], l2p.Row(src))
 	}
-	u3, err := hd.h2.readU(rd)
-	if err != nil {
-		return nil, err
-	}
+	return hd.h2.readLInto(rd, dst, off+hd.h)
+}
+
+// readU assembles the full upper triangular factor U in normal
+// orientation (transposed storage is undone by the decode).
+func (hd *luHandle) readU(rd nodeReader) (*matrix.Dense, error) {
 	out := matrix.New(hd.n, hd.n)
-	out.SetBlock(0, 0, u1)
-	out.SetBlock(0, hd.h, u2)
-	out.SetBlock(hd.h, hd.h, u3)
+	if err := hd.readUInto(rd, out, 0, false); err != nil {
+		return nil, fmt.Errorf("core: readU: %w", err)
+	}
 	return out, nil
+}
+
+// readUT assembles U^T, the operand of the transposed solve kernel and of
+// the U^-1 mappers. With Section 6.3's transposed storage it is
+// U1^T | U2^T | U3^T decoded as stored.
+func (hd *luHandle) readUT(rd nodeReader) (*matrix.Dense, error) {
+	out := matrix.New(hd.n, hd.n)
+	if err := hd.readUInto(rd, out, 0, true); err != nil {
+		return nil, fmt.Errorf("core: readUT: %w", err)
+	}
+	return out, nil
+}
+
+// readUInto decodes U (U^T with transpose) into dst's diagonal square
+// starting at (off, off).
+func (hd *luHandle) readUInto(rd nodeReader, dst *matrix.Dense, off int, transpose bool) error {
+	if hd.leaf {
+		return readRegionInto(rd, hd.leafRef(hd.uFile), 0, hd.n, 0, hd.n, dst, off, off, transpose)
+	}
+	if err := hd.h1.readUInto(rd, dst, off, transpose); err != nil {
+		return err
+	}
+	r, c := off, off+hd.h
+	if transpose {
+		r, c = c, r
+	}
+	if err := readRegionInto(rd, hd.u2, 0, hd.u2.Rows, 0, hd.u2.Cols, dst, r, c, transpose); err != nil {
+		return fmt.Errorf("U2: %w", err)
+	}
+	return hd.h2.readUInto(rd, dst, off+hd.h, transpose)
 }

@@ -114,7 +114,9 @@ func interleaved(n, m, j int) []int {
 
 // invertLColumns computes L-mapper j's interleaved columns of L^-1 and
 // writes them grouped by column residue class mod f2, so that reducer
-// column-group t reads exactly the files ending in .t.
+// column-group t reads exactly the files ending in .t. Each column is
+// stored as one contiguous row, the form the inversion kernel produces
+// and the reducers' row-dot product consumes.
 func invertLColumns(rd nodeReader, st *pipelineState, root string, j, mhalf, f2 int, hd *luHandle) error {
 	n := hd.n
 	cols := interleaved(n, mhalf, j)
@@ -132,9 +134,9 @@ func invertLColumns(rd nodeReader, st *pipelineState, root string, j, mhalf, f2 
 		if err != nil {
 			return err
 		}
-		compact = compactColumns(l, cols, true)
+		compact = lu.LowerInverseColumns(l, cols, true)
 	}
-	return writeInterleavedGroups(st, fmt.Sprintf("%s/LINV/L.%d", root, j), compact, cols, f2, false)
+	return writeInterleavedGroups(st, fmt.Sprintf("%s/LINV/L.%d", root, j), compact, cols, f2)
 }
 
 // invertURows computes U-mapper j's interleaved rows of U^-1 by inverting
@@ -157,10 +159,10 @@ func invertURows(rd nodeReader, st *pipelineState, root string, j, mhalf, f1 int
 		if err != nil {
 			return err
 		}
-		compact = compactColumns(ut, rows, false)
+		// Column r of (U^T)^-1 is row r of U^-1.
+		compact = lu.LowerInverseColumns(ut, rows, false)
 	}
-	// Column r of (U^T)^-1 is row r of U^-1.
-	return writeInterleavedGroups(st, fmt.Sprintf("%s/UINV/U.%d", root, j), compact, rows, f1, true)
+	return writeInterleavedGroups(st, fmt.Sprintf("%s/UINV/U.%d", root, j), compact, rows, f1)
 }
 
 // streamBandRows picks the streaming band height: one m0-th of the order,
@@ -173,122 +175,104 @@ func streamBandRows(n, m0 int) int {
 	return b
 }
 
-// compactColumns computes the idx columns of the inverse of lower
-// triangular lt into an n x len(idx) matrix (the in-memory path).
-func compactColumns(lt *matrix.Dense, idx []int, unit bool) *matrix.Dense {
-	n := lt.Rows
-	dst := matrix.New(n, n)
-	for _, c := range idx {
-		lu.InvertLowerColumn(lt, c, unit, dst)
-	}
-	out := matrix.New(n, len(idx))
-	for bi, c := range idx {
-		for r := 0; r < n; r++ {
-			out.Set(r, bi, dst.At(r, c))
-		}
-	}
-	return out
-}
-
-// writeInterleavedGroups splits the compact column block (column bi is
-// global index idx[bi]) into residue classes mod m and writes one indexed
-// file per non-empty class. asRows stores each class transposed, i.e. the
-// columns become rows of the stored block (used for U^-1 whose natural
-// unit is a row).
-func writeInterleavedGroups(st *pipelineState, base string, compact *matrix.Dense, idx []int, m int, asRows bool) error {
-	n := compact.Rows
+// writeInterleavedGroups splits the compact block (row bi is the inverse
+// column or row with global index idx[bi]) into residue classes mod m and
+// writes one indexed file per non-empty class.
+func writeInterleavedGroups(st *pipelineState, base string, compact *matrix.Dense, idx []int, m int) error {
 	for t := 0; t < m; t++ {
 		var group []int
-		var groupAt []int
-		for bi, c := range idx {
+		for _, c := range idx {
 			if c%m == t {
 				group = append(group, c)
-				groupAt = append(groupAt, bi)
 			}
 		}
 		if len(group) == 0 {
 			continue
 		}
-		block := matrix.New(n, len(group))
-		for gi, bi := range groupAt {
-			for r := 0; r < n; r++ {
-				block.Set(r, gi, compact.At(r, bi))
+		block := matrix.New(len(group), compact.Cols)
+		gi := 0
+		for bi, c := range idx {
+			if c%m == t {
+				copy(block.Row(gi), compact.Row(bi))
+				gi++
 			}
 		}
-		ib := indexedBlock{ColIdx: group, Data: block}
-		if asRows {
-			ib = indexedBlock{RowIdx: group, Data: block.Transpose()}
-		}
-		if err := writeIndexed(st.fs, fmt.Sprintf("%s.%d", base, t), ib); err != nil {
+		if err := writeIndexed(st.fs, fmt.Sprintf("%s.%d", base, t), indexedBlock{RowIdx: group, Data: block}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// multiplyInverseBlock computes reducer r's grid block of U^-1 L^-1: rows
-// of U^-1 with index ≡ r/f2 (mod f1) times columns of L^-1 with index
-// ≡ r%f2 (mod f2). The result columns are scattered through the pivot
-// permutation P (A^-1 = U^-1 L^-1 P) and written as an indexed block.
-func multiplyInverseBlock(rd nodeReader, st *pipelineState, root string, r, mhalf, f1, f2, n int, p matrix.Perm) error {
-	rg, cg := r/f2, r%f2
-
-	// Gather U^-1 rows ≡ rg (mod f1) from the U-mappers' .rg files.
-	var uRows []int
-	uData := make(map[int][]float64)
+// gatherInverseRows reads residue-class file t of every mapper under base
+// and stacks the indexed rows (U^-1 rows, or L^-1 columns stored as rows)
+// in ascending global order, decoding each row from its file's stored
+// bytes straight into its place.
+func gatherInverseRows(rd nodeReader, st *pipelineState, base string, mhalf, t, n int) ([]int, *matrix.Dense, error) {
+	type storedRow struct {
+		idx, at int // global index; row number within payload
+		payload []byte
+	}
+	var rows []storedRow
 	for i := 0; i < mhalf; i++ {
-		path := fmt.Sprintf("%s/UINV/U.%d.%d", root, i, rg)
+		path := fmt.Sprintf("%s.%d.%d", base, i, t)
 		if !st.fs.Exists(path) {
 			continue
 		}
-		blk, err := readIndexed(rd, path)
+		rowIdx, _, payload, err := readIndexedHeader(rd, path)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		for bi, gidx := range blk.RowIdx {
-			uRows = append(uRows, gidx)
-			uData[gidx] = blk.Data.Row(bi)
+		r, c, err := matrix.BinaryDims(payload)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %s payload: %w", path, err)
+		}
+		if r != len(rowIdx) || c != n {
+			return nil, nil, fmt.Errorf("core: %s: %d indices for a %dx%d payload of order %d", path, len(rowIdx), r, c, n)
+		}
+		for bi, gidx := range rowIdx {
+			rows = append(rows, storedRow{gidx, bi, payload})
 		}
 	}
-	// Gather L^-1 columns ≡ cg (mod f2) from the L-mappers' .cg files.
-	var lCols []int
-	lData := make(map[int][]float64)
-	for i := 0; i < mhalf; i++ {
-		path := fmt.Sprintf("%s/LINV/L.%d.%d", root, i, cg)
-		if !st.fs.Exists(path) {
-			continue
+	sort.Slice(rows, func(a, b int) bool { return rows[a].idx < rows[b].idx })
+	idx := make([]int, len(rows))
+	stacked := matrix.New(len(rows), n)
+	for bi, r := range rows {
+		idx[bi] = r.idx
+		if err := matrix.DecodeBinaryRegion(r.payload, r.at, r.at+1, 0, n, stacked, bi, 0, false); err != nil {
+			return nil, nil, err
 		}
-		blk, err := readIndexed(rd, path)
-		if err != nil {
-			return err
-		}
-		for bj, gidx := range blk.ColIdx {
-			col := make([]float64, blk.Data.Rows)
-			for row := 0; row < blk.Data.Rows; row++ {
-				col[row] = blk.Data.At(row, bj)
-			}
-			lCols = append(lCols, gidx)
-			lData[gidx] = col
-		}
+	}
+	return idx, stacked, nil
+}
+
+// multiplyInverseBlock computes reducer r's grid block of U^-1 L^-1: rows
+// of U^-1 with index ≡ r/f2 (mod f1) times columns of L^-1 with index
+// ≡ r%f2 (mod f2). Row i of U^-1 is zero before column i and column j of
+// L^-1 is zero before row j, so each inner product starts at max(i, j).
+// The result columns are scattered through the pivot permutation P
+// (A^-1 = U^-1 L^-1 P) and written as an indexed block.
+func multiplyInverseBlock(rd nodeReader, st *pipelineState, root string, r, mhalf, f1, f2, n int, p matrix.Perm) error {
+	rg, cg := r/f2, r%f2
+	uRows, uinv, err := gatherInverseRows(rd, st, root+"/UINV/U", mhalf, rg, n)
+	if err != nil {
+		return err
+	}
+	lCols, linvT, err := gatherInverseRows(rd, st, root+"/LINV/L", mhalf, cg, n)
+	if err != nil {
+		return err
 	}
 	if len(uRows) == 0 || len(lCols) == 0 {
 		return nil
 	}
-	sort.Ints(uRows)
-	sort.Ints(lCols)
-
 	// C[i][j] = dot(U^-1 row i, L^-1 col j); final column index is p[j].
-	out := matrix.New(len(uRows), len(lCols))
+	out, err := matrix.MulTransBSkip(uinv, linvT, uRows, lCols)
+	if err != nil {
+		return err
+	}
 	colIdx := make([]int, len(lCols))
 	for bj, c := range lCols {
 		colIdx[bj] = p[c]
-	}
-	for bi, ri := range uRows {
-		urow := uData[ri]
-		orow := out.Row(bi)
-		for bj, c := range lCols {
-			orow[bj] = matrix.Dot(urow, lData[c])
-		}
 	}
 	return writeIndexed(st.fs, fmt.Sprintf("%s/INV/A.%d", root, r),
 		indexedBlock{RowIdx: uRows, ColIdx: colIdx, Data: out})

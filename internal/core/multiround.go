@@ -223,7 +223,7 @@ type pieceWriter func(ctx *mapreduce.TaskContext, t int) error
 
 // segReader loads one operand segment: A's row band i (resp. B^T's
 // column band j) restricted to inner segment s.
-type segReader func(rd fsReader, band, s int) (*matrix.Dense, error)
+type segReader func(rd nodeReader, band, s int) (*matrix.Dense, error)
 
 // finishFunc consumes the finished product block (i, j) inside the task
 // that owns it (writing C, or folding it into B = A4 - L2'U2).
@@ -262,7 +262,7 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 
 	// accumulate folds segment s of block (i, j) into state with the
 	// reference kernel; a nil state starts a fresh block.
-	accumulate := func(rd fsReader, state *matrix.Dense, i, j, s int) (*matrix.Dense, error) {
+	accumulate := func(rd nodeReader, state *matrix.Dense, i, j, s int) (*matrix.Dense, error) {
 		rlo, rhi := geom.rowBand(i)
 		clo, chi := geom.colBand(j)
 		if state == nil {
@@ -487,10 +487,10 @@ func inMemoryPieces(a, b *matrix.Dense, geom mulGeom) pieceWriter {
 
 // filePieceReaders reads the whole-piece files inMemoryPieces writes.
 func filePieceReaders(geom mulGeom) (readA, readBT segReader) {
-	readA = func(rd fsReader, i, s int) (*matrix.Dense, error) {
+	readA = func(rd nodeReader, i, s int) (*matrix.Dense, error) {
 		return rd.readMatrix(geom.aPiecePath(i, s))
 	}
-	readBT = func(rd fsReader, j, s int) (*matrix.Dense, error) {
+	readBT = func(rd nodeReader, j, s int) (*matrix.Dense, error) {
 		return rd.readMatrix(geom.btPiecePath(j, s))
 	}
 	return readA, readBT

@@ -54,63 +54,90 @@ func (m matRef) slice(r0, r1, c0, c1 int) matRef {
 	return out
 }
 
-// fsReader abstracts how a task reads matrices from the DFS so that reads
-// can be attributed to the executing node for locality accounting.
-type fsReader interface {
-	readMatrix(path string) (*matrix.Dense, error)
-}
-
-// nodeReader reads on behalf of a specific datanode.
+// nodeReader reads DFS files on behalf of a specific datanode, so reads
+// are attributed to the executing node for locality accounting.
 type nodeReader struct {
 	fs   *dfs.FS
 	node int
 }
 
+// read returns the stored bytes of path as a read-only view (dfs.View):
+// every caller decodes out of them and keeps no reference.
+func (r nodeReader) read(path string) ([]byte, error) {
+	return r.fs.View(path, r.node)
+}
+
 func (r nodeReader) readMatrix(path string) (*matrix.Dense, error) {
-	if r.node >= 0 {
-		return r.fs.ReadMatrixFrom(path, r.node)
-	}
-	return r.fs.ReadMatrix(path)
+	return r.fs.ReadMatrixFrom(path, r.node)
 }
 
 // masterReader reads on behalf of the master (no locality attribution).
 func masterReader(fs *dfs.FS) nodeReader { return nodeReader{fs: fs, node: -1} }
 
-// readRegion assembles rows [r0, r1) x cols [c0, c1) of the reference by
-// reading every intersecting block file. Files are read whole (HDFS block
-// reads) and the needed portion copied out.
-func readRegion(rd fsReader, ref matRef, r0, r1, c0, c1 int) (*matrix.Dense, error) {
-	sub := ref.slice(r0, r1, c0, c1)
-	out := matrix.New(sub.Rows, sub.Cols)
-	covered := 0
-	for _, b := range sub.Blocks {
-		m, err := rd.readMatrix(b.Path)
-		if err != nil {
-			return nil, fmt.Errorf("core: readRegion %s: %w", b.Path, err)
-		}
-		if b.Transposed {
-			m = m.Transpose()
-		}
-		// Clip the block to the frame; the file may extend outside it.
-		fr0, fr1 := clamp(b.R0, 0, sub.Rows), clamp(b.R1, 0, sub.Rows)
-		fc0, fc1 := clamp(b.C0, 0, sub.Cols), clamp(b.C1, 0, sub.Cols)
-		if m.Rows != b.rows() || m.Cols != b.cols() {
-			return nil, fmt.Errorf("core: readRegion %s: stored %dx%d, indexed %dx%d",
-				b.Path, m.Rows, m.Cols, b.rows(), b.cols())
-		}
-		part := m.Block(fr0-b.R0, fr1-b.R0, fc0-b.C0, fc1-b.C0)
-		out.SetBlock(fr0, fc0, part)
-		covered += part.Rows * part.Cols
-	}
-	if covered != sub.Rows*sub.Cols {
-		return nil, fmt.Errorf("core: readRegion [%d:%d,%d:%d]: blocks cover %d of %d elements",
-			r0, r1, c0, c1, covered, sub.Rows*sub.Cols)
+// readRegion assembles rows [r0, r1) x cols [c0, c1) of the reference in
+// a new matrix.
+func readRegion(rd nodeReader, ref matRef, r0, r1, c0, c1 int) (*matrix.Dense, error) {
+	out := matrix.New(r1-r0, c1-c0)
+	if err := readRegionInto(rd, ref, r0, r1, c0, c1, out, 0, 0, false); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// readRegionInto decodes rows [r0, r1) x cols [c0, c1) of the reference
+// straight from the stored bytes of every intersecting block file into
+// dst, the region's first element landing at dst (dr, dc). With transpose
+// the region is written transposed (element (r, c) at dst (dr+c-c0,
+// dc+r-r0)); a file stored transposed (Section 6.3) is un-transposed by
+// the same decode, so no orientation is ever materialized in between.
+// Each file is still charged as one whole-file read (HDFS block reads);
+// only the needed portion is decoded.
+func readRegionInto(rd nodeReader, ref matRef, r0, r1, c0, c1 int, dst *matrix.Dense, dr, dc int, transpose bool) error {
+	sub := ref.slice(r0, r1, c0, c1)
+	covered := 0
+	for _, b := range sub.Blocks {
+		data, err := rd.read(b.Path)
+		if err != nil {
+			return fmt.Errorf("core: readRegion %s: %w", b.Path, err)
+		}
+		rows, cols, err := matrix.BinaryDims(data)
+		if err != nil {
+			return fmt.Errorf("core: readRegion %s: %w", b.Path, err)
+		}
+		if b.Transposed {
+			rows, cols = cols, rows
+		}
+		if rows != b.rows() || cols != b.cols() {
+			return fmt.Errorf("core: readRegion %s: stored %dx%d, indexed %dx%d",
+				b.Path, rows, cols, b.rows(), b.cols())
+		}
+		// Clip the block to the frame; the file may extend outside it.
+		fr0, fr1 := clamp(b.R0, 0, sub.Rows), clamp(b.R1, 0, sub.Rows)
+		fc0, fc1 := clamp(b.C0, 0, sub.Cols), clamp(b.C1, 0, sub.Cols)
+		// The clipped region in the file's stored coordinates, and where
+		// its first element lands.
+		sr0, sr1, sc0, sc1 := fr0-b.R0, fr1-b.R0, fc0-b.C0, fc1-b.C0
+		if b.Transposed {
+			sr0, sr1, sc0, sc1 = sc0, sc1, sr0, sr1
+		}
+		at0, at1 := dr+fr0, dc+fc0
+		if transpose {
+			at0, at1 = dr+fc0, dc+fr0
+		}
+		if err := matrix.DecodeBinaryRegion(data, sr0, sr1, sc0, sc1, dst, at0, at1, b.Transposed != transpose); err != nil {
+			return fmt.Errorf("core: readRegion %s: %w", b.Path, err)
+		}
+		covered += (fr1 - fr0) * (fc1 - fc0)
+	}
+	if covered != sub.Rows*sub.Cols {
+		return fmt.Errorf("core: readRegion [%d:%d,%d:%d]: blocks cover %d of %d elements",
+			r0, r1, c0, c1, covered, sub.Rows*sub.Cols)
+	}
+	return nil
+}
+
 // readAll assembles the full referenced matrix.
-func readAll(rd fsReader, ref matRef) (*matrix.Dense, error) {
+func readAll(rd nodeReader, ref matRef) (*matrix.Dense, error) {
 	return readRegion(rd, ref, 0, ref.Rows, 0, ref.Cols)
 }
 

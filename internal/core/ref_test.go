@@ -173,3 +173,78 @@ func TestBandBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadRegionIntoPlacesAndTransposes: a region decoded into an offset
+// window of a larger destination, in either orientation, from files stored
+// in either orientation (and from a mix of both), equals the region — and
+// touches nothing outside its window.
+func TestReadRegionIntoPlacesAndTransposes(t *testing.T) {
+	m := workload.Random(19, 75)
+	for _, stored := range []string{"normal", "transposed", "mixed"} {
+		fs := dfs.New(3, 1)
+		ref := storeGrid(t, fs, m, 3, stored == "transposed")
+		if stored == "mixed" {
+			for i := range ref.Blocks {
+				if i%2 == 0 {
+					continue
+				}
+				b := &ref.Blocks[i]
+				if err := fs.WriteMatrix(b.Path, m.Block(b.R0, b.R1, b.C0, b.C1).Transpose()); err != nil {
+					t.Fatal(err)
+				}
+				b.Transposed = true
+			}
+		}
+		rd := masterReader(fs)
+		for _, reg := range [][4]int{{0, 19, 0, 19}, {4, 15, 2, 17}, {7, 8, 0, 19}, {3, 3, 5, 9}} {
+			r0, r1, c0, c1 := reg[0], reg[1], reg[2], reg[3]
+			want := m.Block(r0, r1, c0, c1)
+			for _, transpose := range []bool{false, true} {
+				if transpose {
+					want = want.Transpose()
+				}
+				dst := matrix.New(25, 24)
+				dst.Fill(-7)
+				if err := readRegionInto(rd, ref, r0, r1, c0, c1, dst, 3, 2, transpose); err != nil {
+					t.Fatalf("%s %v transpose=%v: %v", stored, reg, transpose, err)
+				}
+				if !matrix.Equal(dst.Block(3, 3+want.Rows, 2, 2+want.Cols), want, 0) {
+					t.Fatalf("%s %v transpose=%v: region differs", stored, reg, transpose)
+				}
+				for i := 0; i < dst.Rows; i++ {
+					for j := 0; j < dst.Cols; j++ {
+						in := i >= 3 && i < 3+want.Rows && j >= 2 && j < 2+want.Cols
+						if !in && dst.At(i, j) != -7 {
+							t.Fatalf("%s %v transpose=%v: wrote outside the window at (%d,%d)", stored, reg, transpose, i, j)
+						}
+					}
+				}
+			}
+		}
+		got, err := readRegionTransposed(rd, ref, 2, 17, 4, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, m.Block(4, 15, 2, 17).Transpose(), 0) {
+			t.Fatalf("%s: readRegionTransposed differs", stored)
+		}
+	}
+}
+
+// TestRegionReadChargedAsWholeFile: decoding a clipped region still
+// accounts one read of the whole file (HDFS block semantics).
+func TestRegionReadChargedAsWholeFile(t *testing.T) {
+	fs := dfs.New(2, 1)
+	m := workload.Random(12, 76)
+	if err := fs.WriteMatrix("whole", m); err != nil {
+		t.Fatal(err)
+	}
+	ref := matRef{Rows: 12, Cols: 12, Blocks: []blockFile{{Path: "whole", R0: 0, R1: 12, C0: 0, C1: 12}}}
+	fs.ResetStats()
+	if _, err := readRegion(nodeReader{fs: fs, node: 1}, ref, 5, 6, 5, 6); err != nil {
+		t.Fatal(err)
+	}
+	if st := fs.Stats(); st.ReadOps != 1 || st.BytesRead != matrix.BinarySize(12, 12) {
+		t.Fatalf("one-element region charged %d ops, %d bytes", st.ReadOps, st.BytesRead)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/lu"
@@ -12,9 +13,16 @@ import (
 // plus the pipeline for white-box factor access.
 func decomposeForTest(t *testing.T, n, nb, nodes int, seed int64) (*Pipeline, *luHandle, *matrix.Dense) {
 	t.Helper()
-	a := workload.Random(n, seed)
 	opts := DefaultOptions(nodes)
 	opts.NB = nb
+	a := workload.Random(n, seed)
+	p, hd := decomposeWithOpts(t, a, opts)
+	return p, hd, a
+}
+
+func decomposeWithOpts(t *testing.T, a *matrix.Dense, opts Options) (*Pipeline, *luHandle) {
+	t.Helper()
+	n := a.Rows
 	p, err := NewPipeline(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +43,7 @@ func decomposeForTest(t *testing.T, n, nb, nodes int, seed int64) (*Pipeline, *l
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, hd, a
+	return p, hd
 }
 
 func TestReadLRowsMatchesFull(t *testing.T) {
@@ -88,11 +96,10 @@ func TestStreamLowerInverseColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := f.L()
+	// An index set that is not a multiple of four, so both the four-wide
+	// and the single-column paths of the shared kernel are streamed.
 	cols := []int{0, 5, 17, 46, 47}
-	want := matrix.New(n, n)
-	for _, c := range cols {
-		lu.InvertLowerColumn(l, c, true, want)
-	}
+	want := lu.LowerInverseColumns(l, cols, true)
 	for _, band := range []int{1, 5, 16, 100} {
 		got, st, err := streamLowerInverseColumns(func(r0, r1 int) (*matrix.Dense, error) {
 			return l.Block(r0, r1, 0, n), nil
@@ -100,11 +107,12 @@ func TestStreamLowerInverseColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for bi, c := range cols {
-			for r := 0; r < n; r++ {
-				if got.At(r, bi) != want.At(r, c) {
-					t.Fatalf("band=%d: column %d row %d differs", band, c, r)
-				}
+		if got.Rows != len(cols) || got.Cols != n {
+			t.Fatalf("band=%d: result is %dx%d", band, got.Rows, got.Cols)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("band=%d: column %d row %d differs from the in-memory inversion", band, cols[i/n], i%n)
 			}
 		}
 		if st.bands != (n+band-1)/band {
@@ -186,5 +194,49 @@ func TestStreamingMatchesInMemoryBitForBit(t *testing.T) {
 	str := run(true)
 	if !matrix.Equal(mem, str, 0) {
 		t.Fatal("streaming and in-memory inversions must agree exactly (same arithmetic order)")
+	}
+}
+
+// TestFactorReadsAgreeAcrossOrientations: U^T assembled from the stored
+// files equals the transpose of U, and the banded reads equal the full
+// ones, whether or not U is stored transposed (Section 6.3 on and off).
+func TestFactorReadsAgreeAcrossOrientations(t *testing.T) {
+	for _, transposeU := range []bool{true, false} {
+		a := workload.Random(70, 2007)
+		opts := DefaultOptions(4)
+		opts.NB = 12
+		opts.TransposeU = transposeU
+		p, hd := decomposeWithOpts(t, a, opts)
+		rd := masterReader(p.FS)
+		l, err := hd.readL(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := hd.readU(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ut, err := hd.readUT(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(ut, u.Transpose(), 0) {
+			t.Fatalf("TransposeU=%v: readUT is not the transpose of readU", transposeU)
+		}
+		lu1, _ := matrix.Mul(l, u)
+		if d := matrix.MaxAbsDiff(lu1, hd.p.ApplyRows(a)); d > 1e-9 {
+			t.Fatalf("TransposeU=%v: LU differs from PA by %g", transposeU, d)
+		}
+		utBand, err := hd.readUTRows(rd, 20, 51)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lBand, err := hd.readLRows(rd, 20, 51)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(utBand, ut.Block(20, 51, 0, 70), 0) || !matrix.Equal(lBand, l.Block(20, 51, 0, 70), 0) {
+			t.Fatalf("TransposeU=%v: banded factor reads differ from the full ones", transposeU)
+		}
 	}
 }

@@ -385,17 +385,30 @@ func (fs *FS) Create(path string) error {
 // Read returns a copy of the file's contents, charging a local read
 // (no transfer). Equivalent to ReadFrom with a node holding a replica.
 func (fs *FS) Read(path string) ([]byte, error) {
-	return fs.readInternal(path, -1)
+	return fs.ReadFrom(path, -1)
 }
 
 // ReadFrom returns the file's contents as read by the given datanode.
 // If the node does not hold a replica, the bytes are charged as network
 // transfer — this is how data-locality effects become visible in Stats.
 func (fs *FS) ReadFrom(path string, node int) ([]byte, error) {
-	return fs.readInternal(path, node)
+	data, err := fs.View(path, node)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
 }
 
-func (fs *FS) readInternal(path string, node int) ([]byte, error) {
+// View is ReadFrom without the private copy (node < 0 reads as the
+// master): the checksum is verified, corrupt replicas are healed and the
+// read is charged exactly as ReadFrom does, but the returned slice is the
+// stored replica itself. Callers must treat it as read-only. It stays
+// valid and unchanged for as long as they hold it, because the file
+// system never modifies replica bytes in place: writes, healing,
+// corruption injection and re-replication all install fresh slices.
+// Decoders that only copy out of the bytes (the matrix region reads) use
+// it to skip one whole-file copy per read.
+func (fs *FS) View(path string, node int) ([]byte, error) {
 	path = Clean(path)
 	fs.mu.Lock()
 	if fs.injectReadErr != nil {
@@ -467,10 +480,9 @@ func (fs *FS) readInternal(path string, node int) ([]byte, error) {
 			fs.metrics.bytesTransferred.Add(int64(len(data)))
 		}
 	}
-	out := append([]byte(nil), data...)
 	f.readers--
 	fs.mu.Unlock()
-	return out, nil
+	return data, nil
 }
 
 // Corrupt flips a byte in one replica of the file — the fault-injection

@@ -12,11 +12,7 @@ import (
 
 // WriteMatrix stores m at path in the binary matrix format.
 func (fs *FS) WriteMatrix(path string, m *matrix.Dense) error {
-	var buf bytes.Buffer
-	if err := matrix.WriteBinary(&buf, m); err != nil {
-		return fmt.Errorf("dfs: WriteMatrix %s: %w", path, err)
-	}
-	fs.Write(path, buf.Bytes())
+	fs.Write(path, encodeMatrix(m))
 	return nil
 }
 
@@ -24,37 +20,31 @@ func (fs *FS) WriteMatrix(path string, m *matrix.Dense) error {
 // (see WriteFrom): writer is the producing datanode (-1 for the master)
 // and nodes the favored replica holders.
 func (fs *FS) WriteMatrixFrom(path string, m *matrix.Dense, writer int, nodes []int) error {
-	var buf bytes.Buffer
-	if err := matrix.WriteBinary(&buf, m); err != nil {
-		return fmt.Errorf("dfs: WriteMatrixFrom %s: %w", path, err)
-	}
-	fs.WriteFrom(path, buf.Bytes(), writer, nodes)
+	fs.WriteFrom(path, encodeMatrix(m), writer, nodes)
 	return nil
+}
+
+func encodeMatrix(m *matrix.Dense) []byte {
+	return matrix.AppendBinary(make([]byte, 0, matrix.BinarySize(m.Rows, m.Cols)), m)
 }
 
 // ReadMatrix loads the matrix stored at path.
 func (fs *FS) ReadMatrix(path string) (*matrix.Dense, error) {
-	data, err := fs.Read(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := matrix.ReadBinary(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("dfs: ReadMatrix %s: %w", path, err)
-	}
-	return m, nil
+	return fs.ReadMatrixFrom(path, -1)
 }
 
-// ReadMatrixFrom loads the matrix at path as read by the given datanode,
-// charging network transfer if the node holds no replica.
+// ReadMatrixFrom loads the matrix at path as read by the given datanode
+// (-1 for the master), charging network transfer if the node holds no
+// replica. The stored bytes are decoded in place; the header is believed
+// only if it matches the file's length.
 func (fs *FS) ReadMatrixFrom(path string, node int) (*matrix.Dense, error) {
-	data, err := fs.ReadFrom(path, node)
+	data, err := fs.View(path, node)
 	if err != nil {
 		return nil, err
 	}
-	m, err := matrix.ReadBinary(bytes.NewReader(data))
+	m, err := matrix.DecodeBinary(data)
 	if err != nil {
-		return nil, fmt.Errorf("dfs: ReadMatrixFrom %s: %w", path, err)
+		return nil, fmt.Errorf("dfs: ReadMatrix %s: %w", path, err)
 	}
 	return m, nil
 }

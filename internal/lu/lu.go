@@ -183,14 +183,22 @@ func (f *Factorization) Solve(b *matrix.Dense) (*matrix.Dense, error) {
 
 // Inverse computes A^-1 = U^-1 L^-1 P from the factorization, the paper's
 // Section 4.3 procedure: invert both triangular factors via Equation 4,
-// multiply, and undo pivoting by permuting columns.
+// multiply, and undo pivoting by permuting columns. It is the pipeline's
+// final job on one node: the columns of L^-1 and the rows of U^-1 are both
+// produced contiguously by LowerInverseColumns (each reads only its own
+// triangle of the shared LU matrix), and their product starts every inner
+// product at max(i, j), past the structural zeros.
 func (f *Factorization) Inverse() (*matrix.Dense, error) {
-	linv := LowerInverse(f.L(), true)
-	uinv, err := UpperInverse(f.U())
-	if err != nil {
-		return nil, err
+	n := f.Order()
+	for i := 0; i < n; i++ {
+		if math.Abs(f.LU.At(i, i)) < pivotTol {
+			return nil, fmt.Errorf("lu: zero diagonal at %d: %w", i, ErrSingular)
+		}
 	}
-	prod, err := matrix.Mul(uinv, linv)
+	all := matrix.IdentityPerm(n)
+	linvT := LowerInverseColumns(f.LU, all, true)
+	uinv := LowerInverseColumns(f.LU.Transpose(), all, false)
+	prod, err := matrix.MulTransBSkip(uinv, linvT, all, all)
 	if err != nil {
 		return nil, err
 	}
@@ -217,41 +225,82 @@ func Invert(a *matrix.Dense) (*matrix.Dense, error) {
 // Column j of the inverse depends only on column j — the independence the
 // paper exploits to parallelize triangular inversion across mappers.
 func LowerInverse(l *matrix.Dense, unitDiagonal bool) *matrix.Dense {
-	n := l.Rows
-	inv := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		InvertLowerColumn(l, j, unitDiagonal, inv)
-	}
-	return inv
+	return LowerInverseColumns(l, matrix.IdentityPerm(l.Rows), unitDiagonal).Transpose()
 }
 
-// InvertLowerColumn computes column j of the inverse of lower-triangular l
-// directly into dst. It is the per-task unit of the triangular-inversion
-// MapReduce job (Section 5.4): distinct columns can be computed by distinct
-// workers with no communication.
-func InvertLowerColumn(l *matrix.Dense, j int, unitDiagonal bool, dst *matrix.Dense) {
-	n := l.Rows
-	diag := func(i int) float64 {
-		if unitDiagonal {
-			return 1
+// LowerInverseColumns computes the idx columns of the inverse of lower
+// triangular l, each stored contiguously: row bi of the len(idx) x n
+// result is column idx[bi] of the inverse. Only l's lower triangle is
+// read. It is the per-task unit of the triangular-inversion MapReduce job
+// (Section 5.4): distinct columns can be computed by distinct workers
+// with no communication.
+func LowerInverseColumns(l *matrix.Dense, idx []int, unitDiagonal bool) *matrix.Dense {
+	out := matrix.New(len(idx), l.Rows)
+	InvertLowerRows(l, 0, idx, unitDiagonal, out)
+	return out
+}
+
+// InvertLowerRows advances the Equation 4 recurrences of columns idx by
+// the rows of the factor held in band — row b of band is row r0+b of the
+// lower triangular matrix — writing element r0+b of every requested
+// column into out (laid out as LowerInverseColumns' result). Rows before
+// r0 must already have been fed, in order; a caller that cannot hold the
+// factor streams it through in row bands.
+//
+// Per column c the sum for row i is still one accumulator over
+// k = c … i-1 ascending, then -s/diag. Four columns advance together over
+// each row of l, so the row is loaded once and the four independent
+// recurrences hide each other's latency; a group starts at its smallest
+// c, which for the other three only adds terms whose inverse-column
+// factor is a structural zero.
+func InvertLowerRows(band *matrix.Dense, r0 int, idx []int, unitDiagonal bool, out *matrix.Dense) {
+	one := func(i int, lrow []float64, d float64, c int, o []float64) {
+		switch {
+		case i == c:
+			o[i] = 1 / d
+		case i > c:
+			o[i] = -matrix.Dot(lrow[c:i], o[c:i]) / d
 		}
-		return l.At(i, i)
 	}
-	dst.Set(j, j, 1/diag(j))
-	for i := j + 1; i < n; i++ {
-		var s float64
-		row := l.Row(i)
-		for k := j; k < i; k++ {
-			s += row[k] * dst.At(k, j)
+	for g := 0; g < len(idx); g += 4 {
+		cols := idx[g:min(g+4, len(idx))]
+		cmin, cmax := cols[0], cols[0]
+		for _, c := range cols[1:] {
+			cmin, cmax = min(cmin, c), max(cmax, c)
 		}
-		dst.Set(i, j, -s/diag(i))
+		for b := max(0, cmin-r0); b < band.Rows; b++ {
+			i := r0 + b
+			lrow := band.Row(b)
+			d := 1.0
+			if !unitDiagonal {
+				d = lrow[i]
+			}
+			if len(cols) < 4 || i <= cmax {
+				for bi, c := range cols {
+					one(i, lrow, d, c, out.Row(g+bi))
+				}
+				continue
+			}
+			lr := lrow[cmin:i]
+			o0, o1, o2, o3 := out.Row(g), out.Row(g+1), out.Row(g+2), out.Row(g+3)
+			p0, p1, p2, p3 := o0[cmin:i], o1[cmin:i], o2[cmin:i], o3[cmin:i]
+			var s0, s1, s2, s3 float64
+			for k, lv := range lr {
+				s0 += lv * p0[k]
+				s1 += lv * p1[k]
+				s2 += lv * p2[k]
+				s3 += lv * p3[k]
+			}
+			o0[i], o1[i], o2[i], o3[i] = -s0/d, -s1/d, -s2/d, -s3/d
+		}
 	}
 }
 
 // UpperInverse inverts an upper triangular matrix. Following the paper's
 // Section 4.1 optimization, it transposes U (giving a lower triangular
-// matrix), inverts that with Equation 4, and transposes back — keeping every
-// inner loop walking rows of row-major storage.
+// matrix) and inverts that with Equation 4 — keeping every inner loop
+// walking rows of row-major storage. The contiguous columns of (U^T)^-1
+// are the rows of U^-1, so no transpose back is needed.
 func UpperInverse(u *matrix.Dense) (*matrix.Dense, error) {
 	n := u.Rows
 	for i := 0; i < n; i++ {
@@ -259,7 +308,5 @@ func UpperInverse(u *matrix.Dense) (*matrix.Dense, error) {
 			return nil, fmt.Errorf("lu: zero diagonal at %d: %w", i, ErrSingular)
 		}
 	}
-	ut := u.Transpose()
-	inv := LowerInverse(ut, false)
-	return inv.Transpose(), nil
+	return LowerInverseColumns(u.Transpose(), matrix.IdentityPerm(n), false), nil
 }

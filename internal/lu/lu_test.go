@@ -302,9 +302,13 @@ func TestInvertLowerColumnIndependence(t *testing.T) {
 		}
 	}
 	seq := LowerInverse(l, false)
+	order := []int{19, 3, 0, 11, 7, 15, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18}
+	cols := LowerInverseColumns(l, order, false)
 	scattered := matrix.New(20, 20)
-	for _, j := range []int{19, 3, 0, 11, 7, 15, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18} {
-		InvertLowerColumn(l, j, false, scattered)
+	for bi, j := range order {
+		for i, v := range cols.Row(bi) {
+			scattered.Set(i, j, v)
+		}
 	}
 	if !matrix.Equal(seq, scattered, 0) {
 		t.Fatal("column order affected result")

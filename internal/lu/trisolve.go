@@ -81,7 +81,9 @@ func SolveRowsUpper(u, b *matrix.Dense) (*matrix.Dense, error) {
 
 // SolveRowsUpperTrans is SolveRowsUpper when U is stored transposed
 // (Section 6.3): ut holds U^T, so U[k][j] = ut[j][k] and every inner loop
-// walks rows of row-major storage.
+// walks rows of row-major storage. Rows of X are independent, so four of
+// them share each load of ut's row j; each element is still
+// (b[j] - the k-ascending running difference) / U[j][j].
 func SolveRowsUpperTrans(ut, b *matrix.Dense) (*matrix.Dense, error) {
 	if !ut.IsSquare() || ut.Rows != b.Cols {
 		return nil, fmt.Errorf("lu: SolveRowsUpperTrans U^T %dx%d, B %dx%d: %w", ut.Rows, ut.Cols, b.Rows, b.Cols, ErrNotSquare)
@@ -93,7 +95,25 @@ func SolveRowsUpperTrans(ut, b *matrix.Dense) (*matrix.Dense, error) {
 		}
 	}
 	x := matrix.New(b.Rows, b.Cols)
-	for r := 0; r < b.Rows; r++ {
+	r := 0
+	for ; r+3 < b.Rows; r += 4 {
+		b0, b1, b2, b3 := b.Row(r), b.Row(r+1), b.Row(r+2), b.Row(r+3)
+		x0, x1, x2, x3 := x.Row(r), x.Row(r+1), x.Row(r+2), x.Row(r+3)
+		for j := 0; j < n; j++ {
+			urow := ut.Row(j)
+			s0, s1, s2, s3 := b0[j], b1[j], b2[j], b3[j]
+			p0, p1, p2, p3 := x0[:j], x1[:j], x2[:j], x3[:j]
+			for k, uv := range urow[:j] {
+				s0 -= p0[k] * uv
+				s1 -= p1[k] * uv
+				s2 -= p2[k] * uv
+				s3 -= p3[k] * uv
+			}
+			d := urow[j]
+			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; r < b.Rows; r++ {
 		brow := b.Row(r)
 		xrow := x.Row(r)
 		for j := 0; j < n; j++ {

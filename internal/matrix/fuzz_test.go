@@ -2,10 +2,11 @@ package matrix
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
-// Native fuzz targets for the three on-disk codecs. Under plain `go test`
+// Native fuzz targets for the on-disk codecs. Under plain `go test`
 // these run the seed corpus; `go test -fuzz=FuzzReadBinary ./internal/matrix`
 // explores further. The invariant in each: arbitrary input must never
 // panic, and when parsing succeeds the value must re-encode and re-parse
@@ -58,6 +59,56 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !Equal(again, m, 0) && IsFinite(m) {
 			t.Fatal("round-trip changed finite values")
+		}
+	})
+}
+
+// FuzzDecodeBinaryRegion drives the in-memory region decoder with
+// arbitrary bytes, regions and destinations: it must never panic, never
+// allocate from header fields, and on success agree with the stream
+// decoder's view of the same bytes.
+func FuzzDecodeBinaryRegion(f *testing.F) {
+	enc := AppendBinary(nil, FromRows([][]float64{{1, 2, 3}, {4, 5, 6}}))
+	hostile := append([]byte(nil), enc...)
+	copy(hostile[4:], []byte{0, 0, 0, 1, 0, 0, 0, 1}) // 1<<24 x 1<<24
+	f.Add(enc, 0, 2, 0, 3, 2, 3, 0, 0, false)
+	f.Add(enc, 1, 2, 1, 3, 4, 4, 1, 1, true)
+	f.Add(enc[:7], 0, 1, 0, 1, 2, 2, 0, 0, false)          // truncated header
+	f.Add(enc[:len(enc)-3], 0, 1, 0, 1, 2, 2, 0, 0, false) // truncated payload
+	f.Add(hostile, 0, 1, 0, 1, 2, 2, 0, 0, false)          // oversized dims
+	f.Add(enc, 0, 3, 0, 3, 4, 4, 0, 0, false)              // region outside the matrix
+	f.Add(enc, 0, 2, 0, 3, 1, 1, 0, 0, true)               // destination too small
+	f.Add(enc, -1, 2, 0, 3, 4, 4, -1, 0, false)            // negative coordinates
+	f.Fuzz(func(t *testing.T, data []byte, r0, r1, c0, c1, dRows, dCols, dr, dc int, transpose bool) {
+		if dRows < 0 || dCols < 0 || dRows > 64 || dCols > 64 {
+			return
+		}
+		dst := New(dRows, dCols)
+		var derr error
+		if allocs := testing.AllocsPerRun(1, func() {
+			derr = DecodeBinaryRegion(data, r0, r1, c0, c1, dst, dr, dc, transpose)
+		}); derr == nil && allocs != 0 {
+			t.Fatalf("successful region decode allocated %v times", allocs)
+		}
+		if derr != nil {
+			if MaxAbs(dst) != 0 {
+				t.Fatal("rejected decode wrote to its destination")
+			}
+			return
+		}
+		m, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("region decode accepted bytes the stream decoder rejects: %v", err)
+		}
+		want := m.Block(r0, r1, c0, c1)
+		if transpose {
+			want = want.Transpose()
+		}
+		got := dst.Block(dr, dr+want.Rows, dc, dc+want.Cols)
+		for i, v := range want.Data {
+			if math.Float64bits(v) != math.Float64bits(got.Data[i]) {
+				t.Fatal("region decode disagrees with the stream decoder")
+			}
 		}
 	})
 }

@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Mul returns the matrix product a*b using a cache-friendly kernel.
 //
@@ -16,14 +12,8 @@ func Mul(a, b *Dense) (*Dense, error) {
 		return nil, shapeErr("matrix: Mul", a, b)
 	}
 	out := New(a.Rows, b.Cols)
-	mulInto(out, a, b, 0, a.Rows)
-	return out, nil
-}
-
-// mulInto computes rows [r0, r1) of out = a*b.
-func mulInto(out, a, b *Dense, r0, r1 int) {
 	n, p := a.Cols, b.Cols
-	for i := r0; i < r1; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for k := 0; k < n; k++ {
@@ -37,6 +27,7 @@ func mulInto(out, a, b *Dense, r0, r1 int) {
 			}
 		}
 	}
+	return out, nil
 }
 
 // MulTransB returns a * bT.Transpose(), i.e. the product of a with the
@@ -44,17 +35,26 @@ func mulInto(out, a, b *Dense, r0, r1 int) {
 // Equation 8 kernel: when U is stored transposed, [L'2 U2]ij reduces to a
 // dot product of two rows, avoiding strided column walks (Section 6.3).
 func MulTransB(a, bT *Dense) (*Dense, error) {
+	return MulTransBSkip(a, bT, nil, nil)
+}
+
+// MulTransBSkip is MulTransB for operands with leading structural zeros:
+// the first aLead[i] elements of a's row i and the first bLead[j] elements
+// of bT's row j are exact zeros (rows of an upper triangular matrix,
+// columns of a lower triangular one), so element (i, j) starts its inner
+// product at max(aLead[i], bLead[j]). The skipped terms are ±0 products
+// added to a +0 accumulator, so the result is bit-identical to the
+// full-length product. A nil lead slice means no leading zeros.
+func MulTransBSkip(a, bT *Dense, aLead, bLead []int) (*Dense, error) {
 	if a.Cols != bT.Cols {
 		return nil, shapeErr("matrix: MulTransB", a, bT)
 	}
-	out := New(a.Rows, bT.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < bT.Rows; j++ {
-			orow[j] = Dot(arow, bT.Row(j))
-		}
+	if (aLead != nil && len(aLead) != a.Rows) || (bLead != nil && len(bLead) != bT.Rows) {
+		return nil, fmt.Errorf("matrix: MulTransBSkip: %d/%d lead entries for %d/%d rows: %w",
+			len(aLead), len(bLead), a.Rows, bT.Rows, ErrShape)
 	}
+	out := New(a.Rows, bT.Rows)
+	mulAddTransB(out, a, bT, 0, a.Cols, aLead, bLead)
 	return out, nil
 }
 
@@ -72,14 +72,63 @@ func MulAddTransB(dst, a, bT *Dense) error {
 	if dst.Rows != a.Rows || dst.Cols != bT.Rows {
 		return shapeErr("matrix: MulAddTransB dst", dst, a)
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < bT.Rows; j++ {
-			drow[j] += Dot(arow, bT.Row(j))
+	mulAddTransB(dst, a, bT, 0, a.Cols, nil, nil)
+	return nil
+}
+
+// mulAddTransB is the one inner-product kernel: dst[i][j] += the dot
+// product of a's row i and bT's row j over the inner range [k0, k1).
+// Every dot product is a single accumulator that starts at +0 and adds
+// its products in ascending k, exactly as Dot forms it; the 2x2 register
+// block only runs four such accumulators side by side (four loads feed
+// four multiply-adds instead of two feeding one). aLead/bLead are
+// MulTransBSkip's leading-zero counts: a block starts at the smallest
+// start among its four elements, which for the other three only adds
+// exact-zero terms.
+func mulAddTransB(dst, a, bT *Dense, k0, k1 int, aLead, bLead []int) {
+	lead := func(l []int, i int) int {
+		if l == nil || l[i] < k0 {
+			return k0
+		}
+		return min(l[i], k1)
+	}
+	m, n := a.Rows, bT.Rows
+	i := 0
+	for ; i+1 < m; i += 2 {
+		ai := min(lead(aLead, i), lead(aLead, i+1))
+		d0, d1 := dst.Row(i), dst.Row(i+1)
+		j := 0
+		for ; j+1 < n; j += 2 {
+			s := max(ai, min(lead(bLead, j), lead(bLead, j+1)))
+			a0, a1 := a.Row(i)[s:k1], a.Row(i + 1)[s:k1]
+			b0, b1 := bT.Row(j)[s:k1], bT.Row(j + 1)[s:k1]
+			a1, b0, b1 = a1[:len(a0)], b0[:len(a0)], b1[:len(a0)]
+			var s00, s01, s10, s11 float64
+			for k, x0 := range a0 {
+				x1, y0, y1 := a1[k], b0[k], b1[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
+			}
+			d0[j] += s00
+			d0[j+1] += s01
+			d1[j] += s10
+			d1[j+1] += s11
+		}
+		if j < n {
+			s := max(ai, lead(bLead, j))
+			d0[j] += Dot(a.Row(i)[s:k1], bT.Row(j)[s:k1])
+			d1[j] += Dot(a.Row(i + 1)[s:k1], bT.Row(j)[s:k1])
 		}
 	}
-	return nil
+	if i < m {
+		drow := dst.Row(i)
+		for j := 0; j < n; j++ {
+			s := max(lead(aLead, i), lead(bLead, j))
+			drow[j] += Dot(a.Row(i)[s:k1], bT.Row(j)[s:k1])
+		}
+	}
 }
 
 // MulSegTransB is the sequential reference for the multi-round multiply
@@ -96,20 +145,14 @@ func MulSegTransB(a, bT *Dense, bounds []int) (*Dense, error) {
 	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != a.Cols {
 		return nil, fmt.Errorf("matrix: MulSegTransB: bad segment bounds %v for inner dim %d", bounds, a.Cols)
 	}
-	out := New(a.Rows, bT.Rows)
 	for s := 0; s+1 < len(bounds); s++ {
-		k0, k1 := bounds[s], bounds[s+1]
-		if k1 < k0 {
+		if bounds[s+1] < bounds[s] {
 			return nil, fmt.Errorf("matrix: MulSegTransB: descending segment bounds %v", bounds)
 		}
-		if k0 == k1 {
-			continue
-		}
-		aseg := a.Block(0, a.Rows, k0, k1)
-		bseg := bT.Block(0, bT.Rows, k0, k1)
-		if err := MulAddTransB(out, aseg, bseg); err != nil {
-			return nil, err
-		}
+	}
+	out := New(a.Rows, bT.Rows)
+	for s := 0; s+1 < len(bounds); s++ {
+		mulAddTransB(out, a, bT, bounds[s], bounds[s+1], nil, nil)
 	}
 	return out, nil
 }
@@ -132,85 +175,5 @@ func MulNaiveColumnOrder(a, b *Dense) (*Dense, error) {
 			out.Data[i*out.Cols+j] = s
 		}
 	}
-	return out, nil
-}
-
-// DefaultTile is the cache-blocking tile edge for MulBlocked: 64x64
-// float64 tiles (32 KiB per operand tile) fit comfortably in L1/L2.
-const DefaultTile = 64
-
-// MulBlocked returns a*b with classic cache blocking: the iteration space
-// is walked in tile x tile blocks so each operand tile stays resident
-// while it is reused — the single-node analog of the paper's block-wrap
-// distribution argument (Section 6.2 cites Dackland et al.'s block LU
-// kernels). tile <= 0 selects DefaultTile.
-func MulBlocked(a, b *Dense, tile int) (*Dense, error) {
-	if a.Cols != b.Rows {
-		return nil, shapeErr("matrix: MulBlocked", a, b)
-	}
-	if tile <= 0 {
-		tile = DefaultTile
-	}
-	out := New(a.Rows, b.Cols)
-	n, p := a.Cols, b.Cols
-	for i0 := 0; i0 < a.Rows; i0 += tile {
-		i1 := minT(i0+tile, a.Rows)
-		for k0 := 0; k0 < n; k0 += tile {
-			k1 := minT(k0+tile, n)
-			for j0 := 0; j0 < p; j0 += tile {
-				j1 := minT(j0+tile, p)
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					orow := out.Row(i)
-					for k := k0; k < k1; k++ {
-						aik := arow[k]
-						if aik == 0 {
-							continue
-						}
-						brow := b.Data[k*p : (k+1)*p]
-						for j := j0; j < j1; j++ {
-							orow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func minT(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MulParallel returns a*b computing disjoint row bands concurrently, one
-// goroutine per available CPU (capped at the row count).
-func MulParallel(a, b *Dense) (*Dense, error) {
-	if a.Cols != b.Rows {
-		return nil, shapeErr("matrix: MulParallel", a, b)
-	}
-	out := New(a.Rows, b.Cols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		mulInto(out, a, b, 0, a.Rows)
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r0 := w * a.Rows / workers
-		r1 := (w + 1) * a.Rows / workers
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			mulInto(out, a, b, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
 	return out, nil
 }

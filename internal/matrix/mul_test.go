@@ -51,14 +51,6 @@ func TestMulVariantsAgree(t *testing.T) {
 		t.Fatal("Mul disagrees with naive kernel")
 	}
 
-	gotPar, err := MulParallel(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(gotPar, want, 1e-12) {
-		t.Fatal("MulParallel disagrees with naive kernel")
-	}
-
 	gotT, err := MulTransB(a, b.Transpose())
 	if err != nil {
 		t.Fatal(err)
@@ -68,35 +60,9 @@ func TestMulVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestMulBlockedAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randDense(rng, 33, 29)
-	b := randDense(rng, 29, 41)
-	want, _ := Mul(a, b)
-	for _, tile := range []int{1, 4, 16, 64, 1000, 0, -1} {
-		got, err := MulBlocked(a, b, tile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(got, want, 1e-12) {
-			t.Fatalf("tile=%d disagrees", tile)
-		}
-	}
-	if _, err := MulBlocked(New(2, 3), New(2, 3), 8); !errors.Is(err, ErrShape) {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 func TestMulTransBShapeError(t *testing.T) {
 	// a is 2x3, bT must have Cols == 3.
 	_, err := MulTransB(New(2, 3), New(4, 2))
-	if !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMulParallelShapeError(t *testing.T) {
-	_, err := MulParallel(New(2, 3), New(2, 3))
 	if !errors.Is(err, ErrShape) {
 		t.Fatalf("err = %v", err)
 	}
@@ -145,16 +111,34 @@ func TestMulZeroDimensions(t *testing.T) {
 	}
 }
 
-func TestMulParallelSingleRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randDense(rng, 1, 64)
-	b := randDense(rng, 64, 3)
-	want, _ := Mul(a, b)
-	got, err := MulParallel(a, b)
-	if err != nil {
-		t.Fatal(err)
+// TestMulBlockedAgrees cross-checks the register-blocked transB kernel
+// against the independently written i-k-j Mul on shapes that leave row,
+// column and inner tails, and covers the accumulate form's shape checks.
+func TestMulBlockedAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, dims := range [][3]int{{33, 29, 41}, {2, 2, 2}, {1, 7, 1}, {6, 1, 5}, {5, 64, 4}} {
+		a := randDense(rng, dims[0], dims[1])
+		b := randDense(rng, dims[1], dims[2])
+		want, _ := Mul(a, b)
+		got, err := MulTransB(a, b.Transpose())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want, 1e-12) {
+			t.Fatalf("%v: blocked transB product disagrees with Mul", dims)
+		}
+		acc := want.Clone()
+		if err := MulAddTransB(acc, a, b.Transpose()); err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(acc, Scale(2, want), 1e-11) {
+			t.Fatalf("%v: accumulating the product onto itself is not its double", dims)
+		}
 	}
-	if !Equal(got, want, 1e-13) {
-		t.Fatal("single-row parallel product wrong")
+	if err := MulAddTransB(New(2, 2), New(2, 3), New(2, 4)); !errors.Is(err, ErrShape) {
+		t.Fatal("inner-dimension mismatch accepted")
+	}
+	if err := MulAddTransB(New(3, 2), New(2, 3), New(2, 3)); !errors.Is(err, ErrShape) {
+		t.Fatal("destination shape mismatch accepted")
 	}
 }

@@ -200,7 +200,10 @@ func DecodeSolveRequest(w http.ResponseWriter, r *http.Request, kind Kind) (req 
 		}
 		return fail(http.StatusBadRequest, "unreadable body: "+err.Error())
 	}
-	a, err := matrix.ReadBinaryLimit(bytes.NewReader(body), DefaultMaxBodyBytes)
+	// The decoder consumes exactly one encoded matrix, so A and the
+	// right-hand side decode one after the other from the same reader.
+	rest := bytes.NewReader(body)
+	a, err := matrix.ReadBinaryLimit(rest, DefaultMaxBodyBytes)
 	if err != nil {
 		if errors.Is(err, matrix.ErrTooLarge) {
 			return fail(http.StatusRequestEntityTooLarge, err.Error())
@@ -209,13 +212,10 @@ func DecodeSolveRequest(w http.ResponseWriter, r *http.Request, kind Kind) (req 
 	}
 	req.A = a
 	if kind == KindLstsq {
-		// ReadBinaryLimit buffers ahead, so the rhs offset comes from A's
-		// declared shape, not from the reader's position.
-		off := matrix.BinarySize(a.Rows, a.Cols)
-		if int64(len(body)) <= off {
+		if rest.Len() == 0 {
 			return fail(http.StatusBadRequest, "missing right-hand side after matrix A")
 		}
-		b, err := matrix.ReadBinaryLimit(bytes.NewReader(body[off:]), DefaultMaxBodyBytes)
+		b, err := matrix.ReadBinaryLimit(rest, DefaultMaxBodyBytes)
 		if err != nil {
 			return fail(http.StatusBadRequest, "unreadable right-hand side: "+err.Error())
 		}

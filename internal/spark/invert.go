@@ -337,7 +337,7 @@ func sliceMat(in dmat, r0, r1, c0, c1 int) dmat {
 // their global indices.
 type colsRec struct {
 	idx []int
-	m   *matrix.Dense // n x len(idx): column bi is global column idx[bi]
+	m   *matrix.Dense // len(idx) x n: row bi is global column idx[bi]
 }
 
 // invertFromFactors runs the final triangular-inversion and multiply
@@ -410,17 +410,7 @@ func invertColumns(lt *matrix.Dense, n, bands, part int, unit bool) []Record {
 	if len(idx) == 0 {
 		return nil
 	}
-	dst := matrix.New(n, n)
-	for _, c := range idx {
-		lu.InvertLowerColumn(lt, c, unit, dst)
-	}
-	m := matrix.New(n, len(idx))
-	for bi, c := range idx {
-		for r := 0; r < n; r++ {
-			m.Set(r, bi, dst.At(r, c))
-		}
-	}
-	return []Record{colsRec{idx: idx, m: m}}
+	return []Record{colsRec{idx: idx, m: lu.LowerInverseColumns(lt, idx, unit)}}
 }
 
 // gatherCols indexes colsRec records by global column index.
@@ -432,11 +422,7 @@ func gatherCols(recs []Record) map[int][]float64 {
 			continue
 		}
 		for bi, c := range cr.idx {
-			col := make([]float64, cr.m.Rows)
-			for r := 0; r < cr.m.Rows; r++ {
-				col[r] = cr.m.At(r, bi)
-			}
-			out[c] = col
+			out[c] = cr.m.Row(bi)
 		}
 	}
 	return out
