@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-compare bench-short microbench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check experiments examples trace serve load fmt vet lint mrlint clean
+.PHONY: all build test race cover cover-check loc bench bench-compare bench-short microbench bench-smoke chaos-smoke fleet-smoke lstsq-smoke incr-smoke transfer-check experiments examples trace serve load fmt vet lint mrlint clean
 
 all: build test
 
@@ -17,6 +17,14 @@ race:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines per package: the root package, then every package
+# under internal/ and cmd/, with the total last. CI fails when the total
+# exceeds ci/loc_budget.txt; lower the budget in the PR that earns it.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' . ./internal/... ./cmd/... | \
+	while read -r pkg files; do printf '%6d %s\n' "$$(cat /dev/null $$files | wc -l)" "$$pkg"; done | \
+	awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # The repository's benchmark (bench/README.md): five workloads, the
 # end-to-end metrics and the per-layer ledger, written to $(OUT).

@@ -12,11 +12,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cholesky"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dfs"
-	"repro/internal/gaussjordan"
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
@@ -315,25 +313,9 @@ func BenchmarkKernelInverters(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gaussjordan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gaussjordan.Invert(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("qr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := qr.Invert(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cholesky-spd", func(b *testing.B) {
-		spd := workload.SPD(128, 24)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cholesky.Invert(spd); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,23 +13,26 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fed"
 	"repro/internal/matrix"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
+// startServer runs cfg the way cmd/matserve does: one shard behind the
+// fleet's handler. It returns that shard for assertions on its counters.
 func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s, err := serve.New(cfg)
+	fleet, err := fed.New(fed.Config{Shards: 1, Shard: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(serve.NewHandler(s))
+	hs := httptest.NewServer(fed.NewHandler(fleet))
 	t.Cleanup(func() {
 		hs.Close()
-		s.Close()
+		fleet.Close()
 	})
-	return s, hs
+	return fleet.Shard(0), hs
 }
 
 func postMatrix(t *testing.T, client *http.Client, url string, a *matrix.Dense) (*http.Response, []byte) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fed"
 	"repro/internal/incr"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -141,12 +142,12 @@ func TestHTTPIncrementalServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hr.Body.Close()
-	var wire serve.Stats
+	var wire fed.Stats
 	if err := json.NewDecoder(hr.Body).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Incr == nil || wire.Incr.Updates != st.Incr.Updates {
-		t.Fatalf("statz incr section %+v does not match snapshot", wire.Incr)
+	if got := wire.Shards[0].Serve.Incr; got == nil || got.Updates != st.Incr.Updates {
+		t.Fatalf("statz incr section %+v does not match snapshot", got)
 	}
 
 	// An exact repeat of a delta request is a plain cache hit, not a

@@ -296,8 +296,15 @@ func (s *Server) isDraining() bool {
 
 // optsFor resolves the effective pipeline options for a request: the base
 // configuration with per-request overrides and a unique work directory.
+// A request may use fewer nodes than the cluster has, never more: the
+// cluster size fixed the dfs and the slot pool, and each extra node is
+// another task per job.
 func (s *Server) optsFor(req Request) (core.Options, error) {
 	opts := s.cfg.Opts
+	if req.Nodes > opts.Nodes {
+		return opts, fmt.Errorf("serve: nodes = %d exceeds the cluster's %d: %w",
+			req.Nodes, opts.Nodes, core.ErrBadOptions)
+	}
 	if req.Nodes > 0 {
 		opts.Nodes = req.Nodes
 	}

@@ -105,6 +105,29 @@ func TestValidationSentinels(t *testing.T) {
 	}
 }
 
+// A client-chosen node count beyond the cluster is refused before the
+// digest and the queue; smaller and odd counts stay legal.
+func TestNodesBeyondClusterRejected(t *testing.T) {
+	s := mustServer(t, testConfig()) // 4 nodes
+	a := workload.DiagonallyDominant(4, 21)
+	for _, nodes := range []int{5, 4096, 65536} {
+		if _, err := s.Do(context.Background(), Request{A: a, Nodes: nodes}); !errors.Is(err, core.ErrBadOptions) {
+			t.Fatalf("nodes=%d: err = %v, want ErrBadOptions", nodes, err)
+		}
+	}
+	met := s.Metrics()
+	if got := met.Counter("serve.admitted").Value() + met.Counter("serve.cache_misses").Value(); got != 0 {
+		t.Fatalf("rejected requests reached the cache or queue (%d)", got)
+	}
+	for _, nodes := range []int{1, 3, 4} {
+		res, err := s.Do(context.Background(), Request{A: a, Nodes: nodes})
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		checkInverse(t, a, res.Out)
+	}
+}
+
 func TestExpiredDeadlineSkipsPipeline(t *testing.T) {
 	s := mustServer(t, testConfig())
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
