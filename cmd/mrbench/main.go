@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,9 +25,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/dfs"
 	"repro/internal/incr"
-	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -371,15 +368,8 @@ func incrRows(n, nodes int) ([]incrRow, error) {
 
 		u, v := incr.RowDelta(base, mut, workload.MutatedRows(n, k, mutSeed))
 		choice := costmodel.ChooseUpdate(costmodel.ServingCluster(nodes), n, k, opts.NB, 0)
-		var x *matrix.Dense
 		start = time.Now()
-		if choice.Strategy == costmodel.UpdateDistributed {
-			fs := dfs.New(nodes, dfs.DefaultReplication)
-			eng := &incr.Engine{FS: fs, Cluster: mapreduce.NewCluster(fs, nodes)}
-			x, _, err = eng.UpdateCtx(context.Background(), ainv, u, v, 0, opts)
-		} else {
-			x, err = incr.Update(ainv, u, v, 0)
-		}
+		x, err := incr.Update(ainv, u, v, 0)
 		if err != nil {
 			return nil, fmt.Errorf("incr update k=%d: %w", k, err)
 		}

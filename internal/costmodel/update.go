@@ -10,10 +10,9 @@ import (
 // Update-vs-full routing for the incremental inversion path
 // (internal/incr): when a serve-layer cache miss finds a base inverse
 // a rank-k delta away, should the request take the O(kn²)
-// Sherman–Morrison–Woodbury update — and if so, sequentially on the
-// master or with the large passes distributed — or just rerun the full
-// O(n³) pipeline? Like ChooseQR, the decision is a pure function of
-// (n, k, cluster, load) so identical requests always take the same
+// Sherman–Morrison–Woodbury update on the master, or just rerun the
+// full O(n³) pipeline? Like ChooseQR, the decision is a pure function
+// of (n, k, cluster, load) so identical requests always take the same
 // path.
 
 // UpdateStrategy identifies one of the incremental-path outcomes.
@@ -24,9 +23,6 @@ const (
 	UpdateFull UpdateStrategy = "full"
 	// UpdateSequential applies SMW on the master.
 	UpdateSequential UpdateStrategy = "sequential"
-	// UpdateDistributed applies SMW with the n×k and rank-k passes as
-	// MapReduce multiply jobs.
-	UpdateDistributed UpdateStrategy = "distributed"
 )
 
 // MaxUpdateFraction gates the delta rank: beyond k > n/MaxUpdateFraction
@@ -36,14 +32,13 @@ const (
 const MaxUpdateFraction = 4
 
 // simJobLaunch stands in for Cluster.JobLaunch when the model runs
-// against the in-process simulated cluster (ServingCluster sets
-// JobLaunch to zero because pipeline jobs amortize it, but each SMW
-// pass is one small job whose fixed cost — spinning up the map/reduce
-// attempts plus pushing the operands through the simulated DFS — would
-// otherwise be invisible to the model and make "distributed" win at
-// sizes where it measurably loses). Calibrated against measured
-// per-job cost of serving-scale multiplies (mrbench -exp incr: a
-// 256-order multiply job runs ~50ms in-process, far above its flops).
+// against the in-process simulated cluster: ServingCluster sets
+// JobLaunch to zero, so ChooseUpdate charges the full pipeline this
+// per-job orchestration floor (spinning up the map/reduce attempts and
+// pushing operands through the simulated DFS) on each of its jobs.
+// Calibrated against the measured per-job cost of serving-scale
+// multiplies (a 256-order multiply job runs ~50ms in-process, far above
+// its flops).
 const simJobLaunch = 20 * time.Millisecond
 
 // updateFlops is the SMW arithmetic: two n×k passes against A⁻¹
@@ -59,19 +54,6 @@ func SequentialUpdateTime(node NodeSpec, n, k int) time.Duration {
 	return secs(updateFlops(n, k) / node.MasterFlops)
 }
 
-// DistributedUpdateTime models the SMW update with its three large
-// passes as multiply jobs: parallel flops, the shuffle of the n×k
-// operands, and three job launches.
-func DistributedUpdateTime(c Cluster, n, k int) time.Duration {
-	workers := float64(c.Nodes) * c.Node.Flops
-	transfer := 3 * 2 * float64(n) * float64(k) * bytesPerElem / c.Node.NetBW
-	launch := c.JobLaunch
-	if launch <= 0 {
-		launch = simJobLaunch
-	}
-	return secs(updateFlops(n, k)/workers+transfer) + 3*launch
-}
-
 // UpdateChoice is the outcome of update-vs-full selection.
 type UpdateChoice struct {
 	Strategy  UpdateStrategy
@@ -82,26 +64,22 @@ type UpdateChoice struct {
 // Incremental reports whether the choice takes the SMW path at all.
 func (u UpdateChoice) Incremental() bool { return u.Strategy != UpdateFull }
 
-// ChooseUpdate picks between the full pipeline and the two SMW update
-// paths for an order-n request whose delta against a cached base has
-// rank k. queued is the serving layer's current admission-queue depth:
-// cluster-hosted work (the full pipeline and the distributed update)
-// queues behind it, while the sequential update runs on the master
-// immediately, so load shifts the crossover toward the sequential
-// path.
+// ChooseUpdate picks between the full pipeline and the SMW update for
+// an order-n request whose delta against a cached base has rank k.
+// queued is the serving layer's current admission-queue depth: the
+// full pipeline queues behind it, while the update runs on the master
+// immediately, so load shifts the crossover toward the update.
 func ChooseUpdate(c Cluster, n, k, nb, queued int) UpdateChoice {
 	load := 1 + float64(queued)/float64(max(1, c.Nodes))
 	full := OursTime(c, n, nb, AllOpts)
 	if c.JobLaunch <= 0 {
-		// The simulated cluster pays the same per-job orchestration
-		// overhead on every path; OursTime's launch term is zero there,
-		// so add the same floor the distributed update is charged.
+		// The simulated cluster still pays a per-job orchestration
+		// overhead; OursTime's launch term is zero there, so charge it.
 		full += time.Duration(core.PipelineJobs(n, nb)) * simJobLaunch
 	}
 	pred := map[UpdateStrategy]time.Duration{
-		UpdateSequential:  SequentialUpdateTime(c.Node, n, k),
-		UpdateDistributed: scale(DistributedUpdateTime(c, n, k), load),
-		UpdateFull:        scale(full, load),
+		UpdateSequential: SequentialUpdateTime(c.Node, n, k),
+		UpdateFull:       scale(full, load),
 	}
 	if k <= 0 || k*MaxUpdateFraction > n {
 		return UpdateChoice{
@@ -112,16 +90,12 @@ func ChooseUpdate(c Cluster, n, k, nb, queued int) UpdateChoice {
 		}
 	}
 	best := UpdateSequential
-	if pred[UpdateDistributed] < pred[best] {
-		best = UpdateDistributed
-	}
 	if pred[UpdateFull] < pred[best] {
 		best = UpdateFull
 	}
-	reason := fmt.Sprintf("predicted %s (sequential %s, distributed %s, full %s) for n=%d k=%d on %d nodes, queue %d",
+	reason := fmt.Sprintf("predicted %s (sequential %s, full %s) for n=%d k=%d on %d nodes, queue %d",
 		FormatDuration(pred[best]), FormatDuration(pred[UpdateSequential]),
-		FormatDuration(pred[UpdateDistributed]), FormatDuration(pred[UpdateFull]),
-		n, k, c.Nodes, queued)
+		FormatDuration(pred[UpdateFull]), n, k, c.Nodes, queued)
 	return UpdateChoice{Strategy: best, Reason: reason, Predicted: pred}
 }
 

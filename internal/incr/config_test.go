@@ -1,13 +1,8 @@
 package incr
 
 import (
-	"context"
-	"errors"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/workload"
 )
@@ -72,39 +67,6 @@ func TestUpdateValidation(t *testing.T) {
 	}
 	if out == sq {
 		t.Fatal("rank-0 update aliased its input")
-	}
-}
-
-func TestEngineValidationAndCancel(t *testing.T) {
-	nodes := 4
-	fs := dfs.New(nodes, dfs.DefaultReplication)
-	eng := &Engine{FS: fs, Cluster: mapreduce.NewCluster(fs, nodes)}
-	opts := core.DefaultOptions(nodes)
-	opts.NB = 16
-
-	if _, _, err := eng.UpdateCtx(context.Background(), nil, nil, nil, 0, opts); err == nil {
-		t.Fatal("nil operands accepted")
-	}
-
-	n := 32
-	base := workload.DiagonallyDominant(n, 31)
-	mut := workload.MutateRows(base, 2, 32)
-	u, v := RowDelta(base, mut, workload.MutatedRows(n, 2, 32))
-
-	// Rank zero short-circuits before any job launches.
-	out, rep, err := eng.UpdateCtx(context.Background(), base, matrix.New(n, 0), matrix.New(n, 0), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.JobsRun != 0 || matrix.MaxAbsDiff(out, base) != 0 {
-		t.Fatalf("rank-0 distributed update ran jobs (%d) or changed bytes", rep.JobsRun)
-	}
-
-	// A canceled context stops at the first job boundary.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := eng.UpdateCtx(ctx, base, u, v, 0, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled update returned %v, want context.Canceled", err)
 	}
 }
 

@@ -12,13 +12,14 @@
 // index.go) keeps a bounded LRU index of recently served base
 // matrices, each with a per-row fingerprint sketch, and probes it on a
 // cache miss to find a base within KMax changed rows. The update
-// engine (smw.go, engine.go) applies the identity, either sequentially
-// or — for large n — by riding the distributed Pipeline.Multiply for
-// the n×k and rank-k passes while the k×k capacitance solve stays
-// local. The guardrail (SampledResidual) checks ‖A'·X − I‖ on sampled
-// columns so a bad update (hash-collision miss in the sketch,
-// ill-conditioned capacitance) is rejected and the caller falls back
-// to full inversion instead of serving a wrong answer.
+// (Update, smw.go) applies the identity on the master: like the
+// paper's block-LU leaves below the bound value nb, its O(kn²) passes
+// run faster there than as MapReduce multiply jobs at the default KMax
+// (EXPERIMENTS.md, "Incremental inversion"). The guardrail
+// (SampledResidual) checks ‖A'·X − I‖ on sampled columns so a bad
+// update (hash-collision miss in the sketch, ill-conditioned
+// capacitance) is rejected and the caller falls back to full
+// inversion instead of serving a wrong answer.
 //
 // The package is in the determinism-checked set: given the same base,
 // request, and configuration, every function here produces bit-identical
@@ -27,11 +28,6 @@
 package incr
 
 import "errors"
-
-// ErrDeltaTooLarge reports that the request differs from the candidate
-// base in more rows than the configured KMax, so the O(kn²) update
-// would not beat full inversion. Callers fall back to the pipeline.
-var ErrDeltaTooLarge = errors.New("incr: delta rank exceeds KMax")
 
 // ErrResidual reports that the updated inverse failed the sampled
 // ‖A'·X − I‖ guardrail; the caller must recompute via full inversion.
@@ -70,8 +66,9 @@ type Config struct {
 	// Enabled turns the subsystem on in the serving layer.
 	Enabled bool
 	// KMax bounds the extracted delta rank (changed rows). <=0 selects
-	// DefaultKMax. Deltas beyond min(KMax, n/4) are refused with
-	// ErrDeltaTooLarge: past n/4 the 4kn² update flops approach the
+	// DefaultKMax. A request more than min(KMax, n/4) rows away from
+	// every indexed base is not updated; the caller runs the full
+	// pipeline instead: past n/4 the 4kn² update flops approach the
 	// pipeline's 2n³ and conditioning risk grows with k.
 	KMax int
 	// MaxBases bounds how many recent base matrices (A, A⁻¹, sketch)
@@ -134,14 +131,11 @@ type Stats struct {
 	ProbeHits int64 `json:"probe_hits"`
 	// Updates counts requests served via a successful SMW update.
 	Updates int64 `json:"updates"`
-	// Distributed counts updates whose large passes rode the cluster.
-	Distributed int64 `json:"distributed"`
 	// Declined counts probe hits where the cost model chose the full
 	// pipeline anyway (k too close to n, or cluster-load crossover).
 	Declined int64 `json:"declined"`
 	// Fallbacks counts probe hits that started an update but fell back
-	// to the full pipeline (capacitance failure, residual reject, or a
-	// distributed-pass error).
+	// to the full pipeline (capacitance failure or residual reject).
 	Fallbacks int64 `json:"fallbacks"`
 	// ResidualRejects counts updates rejected by the guardrail (a
 	// subset of Fallbacks).

@@ -80,11 +80,13 @@ func Update(ainv, u, v *matrix.Dense, condMax float64) (*matrix.Dense, error) {
 	if u.Cols == 0 {
 		return ainv.Clone(), nil
 	}
-	au, err := matrix.Mul(ainv, u)
+	// The two n×n passes run on the row-dot kernel; each element is
+	// the same ascending-k sum matrix.Mul forms, so the bits match it.
+	au, err := matrix.MulTransB(ainv, u.Transpose())
 	if err != nil {
 		return nil, err
 	}
-	vta, err := matrix.Mul(v.Transpose(), ainv)
+	vta, err := matrix.MulTransB(v.Transpose(), ainv.Transpose())
 	if err != nil {
 		return nil, err
 	}

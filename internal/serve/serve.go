@@ -535,10 +535,9 @@ func (s *Server) execute(f *flight) {
 // rank-k Sherman–Morrison–Woodbury update against a recently served
 // base inverse. The attempt is strictly best-effort: any failure —
 // no base within KMax rows, a cost-model decline, a singular or
-// ill-conditioned capacitance, a residual-guardrail reject, or a
-// distributed-pass error — returns ok=false and the caller runs the
-// full pipeline, so the incremental path can only ever add latency,
-// never wrong answers.
+// ill-conditioned capacitance, or a residual-guardrail reject — returns
+// ok=false and the caller runs the full pipeline, so the incremental
+// path can only ever add latency, never wrong answers.
 func (s *Server) tryIncremental(f *flight) (*matrix.Dense, *core.Report, bool) {
 	if s.bases == nil {
 		return nil, nil, false
@@ -567,15 +566,7 @@ func (s *Server) tryIncremental(f *flight) (*matrix.Dense, *core.Report, bool) {
 	}
 	u, v := incr.RowDelta(base.A, f.req.A, rows)
 	begin := time.Now()
-	var x *matrix.Dense
-	irep := &incr.Report{Rank: len(rows)}
-	var err error
-	if choice.Strategy == costmodel.UpdateDistributed {
-		eng := &incr.Engine{FS: s.fs, Cluster: s.cluster, Tracer: s.cfg.Tracer, Metrics: s.met}
-		x, irep, err = eng.UpdateCtx(f.ctx, base.Inv, u, v, s.cfg.Incr.CondMax, f.opts)
-	} else {
-		x, err = incr.Update(base.Inv, u, v, s.cfg.Incr.CondMax)
-	}
+	x, err := incr.Update(base.Inv, u, v, s.cfg.Incr.CondMax)
 	if err == nil {
 		err = incr.Guard(f.req.A, x, s.cfg.Incr.ResidualTol, s.cfg.Incr.SampleCols)
 	}
@@ -587,13 +578,9 @@ func (s *Server) tryIncremental(f *flight) (*matrix.Dense, *core.Report, bool) {
 		return nil, nil, false
 	}
 	s.met.Counter("incr.updates").Add(1)
-	if irep.Distributed {
-		s.met.Counter("incr.distributed").Add(1)
-	}
 	elapsed := time.Since(begin)
 	s.met.Histogram("incr.update_latency").Observe(elapsed)
-	rep := &core.Report{Order: n, NB: f.opts.NB, Nodes: f.opts.Nodes,
-		JobsRun: irep.JobsRun, Elapsed: elapsed}
+	rep := &core.Report{Order: n, NB: f.opts.NB, Nodes: f.opts.Nodes, Elapsed: elapsed}
 	return x, rep, true
 }
 
@@ -778,7 +765,6 @@ func (s *Server) Snapshot() Stats {
 			Probes:          s.met.Counter("incr.probes").Value(),
 			ProbeHits:       s.met.Counter("incr.probe_hits").Value(),
 			Updates:         s.met.Counter("incr.updates").Value(),
-			Distributed:     s.met.Counter("incr.distributed").Value(),
 			Declined:        s.met.Counter("incr.declined").Value(),
 			Fallbacks:       s.met.Counter("incr.fallbacks").Value(),
 			ResidualRejects: s.met.Counter("incr.residual_rejects").Value(),
