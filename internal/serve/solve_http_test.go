@@ -114,11 +114,14 @@ func TestLstsqEndpoint(t *testing.T) {
 }
 
 // TestPinvEndpoint: pseudo-inverse over HTTP, against the sequential
-// reference, with the repeat served from cache.
+// reference, with the repeat served from cache. Two κ=1e8 graded inputs,
+// one on each side of the ChooseQR crossover, must both keep
+// |A^+ A - I| within 4·n·κ·ε: served accuracy does not depend on which
+// kernel the shape selects.
 func TestPinvEndpoint(t *testing.T) {
 	opts := core.DefaultOptions(8)
 	opts.NB = 64
-	_, hs := startServer(t, serve.Config{Opts: opts, CacheBytes: 8 << 20})
+	srv, hs := startServer(t, serve.Config{Opts: opts, CacheBytes: 8 << 20})
 	client := hs.Client()
 
 	a := workload.RandomRect(200, 6, 911)
@@ -144,6 +147,37 @@ func TestPinvEndpoint(t *testing.T) {
 	resp2, _ := postSolve(t, client, hs.URL+"/pinv", body)
 	if got := resp2.Header.Get("X-Source"); got != "cache" {
 		t.Fatalf("repeat pinv source %q, want cache", got)
+	}
+
+	const kappa = 1e8
+	for _, tc := range []struct {
+		m, n int
+		path string
+	}{
+		{200, 6, "serve.qr_tsqr"},
+		{64, 4, "serve.qr_sequential"},
+	} {
+		a := workload.Graded(tc.m, tc.n, kappa, 7)
+		before := srv.Metrics().Counter(tc.path).Value()
+		resp, payload := postSolve(t, client, hs.URL+"/pinv", solveBody(t, a, nil))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("graded %dx%d: status %d body %q", tc.m, tc.n, resp.StatusCode, payload)
+		}
+		if got := srv.Metrics().Counter(tc.path).Value(); got != before+1 {
+			t.Fatalf("graded %dx%d: %s went %d -> %d, want one more", tc.m, tc.n, tc.path, before, got)
+		}
+		pinv, err := matrix.ReadBinary(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := matrix.Mul(pinv, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 4 * float64(tc.n) * kappa * 0x1p-52
+		if d := matrix.MaxAbsDiff(pa, matrix.Identity(tc.n)); d > bound {
+			t.Fatalf("graded %dx%d via %s: |A+ A - I| = %.3g > %.3g", tc.m, tc.n, tc.path, d, bound)
+		}
 	}
 }
 

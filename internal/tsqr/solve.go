@@ -9,15 +9,14 @@ import (
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/qr"
 )
 
-// The apply rounds: once the factor round has left Q_i / Q2_i (and the
-// row blocks of A) in the DFS, one more map round computes Q^T b for the
-// least-squares solve, or W = A R^-1 and the pseudo-inverse columns for
-// the AR^-1 path. Each entry point below is therefore a two-round
-// MapReduce pipeline sharing one report and one root span.
+// The apply rounds: once the factor round has left Q_i / Q2_i in the
+// DFS, one more map round computes Q^T b for the least-squares solve, or
+// the pseudo-inverse columns R^-1 (Q_i Q2_i)^T. Each entry point below is
+// therefore a two-round MapReduce pipeline sharing one report and one
+// root span.
 
 // LeastSquaresCtx solves min_x ||A x - b|| via TSQR: factor A, apply
 // Q^T to b distributively (Q^T b = sum_i Q2_i^T Q_i^T b_i), and
@@ -141,10 +140,12 @@ func (e *Engine) LeastSquaresCtx(ctx context.Context, a, b *matrix.Dense, cfg Co
 }
 
 // PInvCtx computes the Moore-Penrose pseudo-inverse A^+ = R^-1 Q^T of a
-// full-rank tall matrix via the AR^-1 round: each map task forms
-// W_i = A_i R^-1 (W = A R^-1 has orthonormal columns and equals Q) and
-// the transposed column slice P_i = R^-1 W_i^T of the pseudo-inverse;
-// the master stitches the n x m result together.
+// full-rank tall matrix from the direct-TSQR Q: each map task of the
+// map-only apply round forms its block Q_i Q2_i of the thin Q from the
+// stored factors and writes the column slice P_i = R^-1 (Q_i Q2_i)^T;
+// the master stitches the n x m result together. The round never reads A
+// again, so |A^+ A - I| grows like κ·ε, where the indirect W = A R^-1
+// construction (W^T W = I only in exact arithmetic) grows like κ²·ε.
 func (e *Engine) PInvCtx(ctx context.Context, a *matrix.Dense, cfg Config) (*matrix.Dense, *Report, error) {
 	if err := ValidateTall(a); err != nil {
 		return nil, nil, err
@@ -166,68 +167,26 @@ func (e *Engine) PInvCtx(ctx context.Context, a *matrix.Dense, cfg Config) (*mat
 	if err != nil {
 		return nil, rep, err
 	}
-	if err := e.arinvRound(ctx, fac, cfg, rep, span); err != nil {
-		return nil, rep, err
-	}
-	pinv := matrix.New(n, m)
-	for i := 0; i < fac.blocks; i++ {
-		pi, err := e.FS.ReadMatrix(blockPath(root, "P", i))
-		if err != nil {
-			return nil, rep, err
-		}
-		pinv.SetBlock(0, fac.offs[i], pi)
-	}
-	return pinv, rep, nil
-}
-
-// ARInvCtx runs the AR^-1 round on an existing factorization and returns
-// W = A R^-1, the m x n matrix with orthonormal columns of the mrtsqr
-// ARInv construction (equal to the thin Q in exact arithmetic).
-func (e *Engine) ARInvCtx(ctx context.Context, f *Factorization, cfg Config) (*matrix.Dense, *Report, error) {
-	start := time.Now()
-	m, n := f.offs[f.blocks], f.R.Cols
-	rep := &Report{Rows: m, Cols: n, Blocks: f.blocks}
-	span := e.startSpan("tsqr.arinv", m, n, f.blocks)
-	defer func() {
-		span.Finish()
-		rep.Elapsed = time.Since(start)
-	}()
-	if err := e.arinvRound(ctx, f, cfg, rep, span); err != nil {
-		return nil, rep, err
-	}
-	w := matrix.New(m, n)
-	for i := 0; i < f.blocks; i++ {
-		wi, err := e.FS.ReadMatrix(blockPath(f.root, "W", i))
-		if err != nil {
-			return nil, rep, err
-		}
-		w.SetBlock(f.offs[i], 0, wi)
-	}
-	return w, rep, nil
-}
-
-// arinvRound distributes R^-1 to the mappers, which form W_i = A_i R^-1
-// (stored under root/W) and the pseudo-inverse slice P_i = R^-1 W_i^T
-// (stored transposed-ready under root/P). Map-only: the round's outputs
-// are DFS files, not shuffled pairs.
-func (e *Engine) arinvRound(ctx context.Context, f *Factorization, cfg Config, rep *Report, span *obs.Span) error {
-	rinv, err := lu.UpperInverse(f.R)
+	rinv, err := lu.UpperInverse(fac.R)
 	if err != nil {
 		// The factor round's rank check makes this unreachable for inputs
 		// it accepted; keep the typed error for defense in depth.
-		return fmt.Errorf("%v: %w", err, ErrRankDeficient)
+		return nil, rep, fmt.Errorf("%v: %w", err, ErrRankDeficient)
 	}
-	if err := e.FS.WriteMatrix(f.root+"/Rinv", rinv); err != nil {
-		return err
+	if err := e.FS.WriteMatrix(root+"/Rinv", rinv); err != nil {
+		return nil, rep, err
 	}
-	root := f.root
 	job := &mapreduce.Job{
-		Name:     "tsqr.arinv",
-		Splits:   mapreduce.ControlSplits(f.blocks),
+		Name:     "tsqr.rinvqt",
+		Splits:   mapreduce.ControlSplits(fac.blocks),
 		Priority: cfg.Priority,
 		Map: func(tctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 			i := split.ID
-			ai, err := tctx.FS.ReadMatrixFrom(blockPath(root, "A", i), tctx.Node)
+			qi, err := tctx.FS.ReadMatrixFrom(blockPath(root, "Q1", i), tctx.Node)
+			if err != nil {
+				return err
+			}
+			q2i, err := tctx.FS.ReadMatrixFrom(blockPath(root, "Q2", i), tctx.Node)
 			if err != nil {
 				return err
 			}
@@ -235,14 +194,11 @@ func (e *Engine) arinvRound(ctx context.Context, f *Factorization, cfg Config, r
 			if err != nil {
 				return err
 			}
-			wi, err := matrix.Mul(ai, ri)
+			q, err := matrix.Mul(qi, q2i)
 			if err != nil {
 				return err
 			}
-			if err := tctx.FS.WriteMatrix(blockPath(root, "W", i), wi); err != nil {
-				return err
-			}
-			pi, err := matrix.Mul(ri, wi.Transpose())
+			pi, err := matrix.MulTransB(ri, q)
 			if err != nil {
 				return err
 			}
@@ -256,10 +212,19 @@ func (e *Engine) arinvRound(ctx context.Context, f *Factorization, cfg Config, r
 	job.TraceParent = span
 	jr, err := e.Cluster.RunCtx(ctx, job)
 	if err != nil {
-		return err
+		return nil, rep, err
 	}
 	rep.record(jr)
-	return nil
+
+	pinv := matrix.New(n, m)
+	for i := 0; i < fac.blocks; i++ {
+		pi, err := e.FS.ReadMatrix(blockPath(root, "P", i))
+		if err != nil {
+			return nil, rep, err
+		}
+		pinv.SetBlock(0, fac.offs[i], pi)
+	}
+	return pinv, rep, nil
 }
 
 // backSolve solves R x = c for upper-triangular R by back substitution;

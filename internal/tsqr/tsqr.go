@@ -1,17 +1,16 @@
 // Package tsqr implements direct tall-and-skinny QR (TSQR) on the
-// simulated MapReduce cluster, after Benson/Gleich/Demmel's direct-TSQR
-// and the mrtsqr AR^-1 construction: a tall m x n matrix (m >> n) is
-// partitioned into row blocks, each map task computes a local thin
-// Householder QR of its block, and a single reducer stacks the per-block
-// R factors (in deterministic map-task order — the engine's shuffle
-// contract) and factors the stack once more to obtain the final n x n R.
-// The per-block Q factors stay in the DFS, so a second map round can
+// simulated MapReduce cluster, after Benson/Gleich/Demmel's direct TSQR:
+// a tall m x n matrix (m >> n) is partitioned into row blocks, each map
+// task computes a local thin Householder QR of its block, and a single
+// reducer stacks the per-block R factors (in deterministic map-task
+// order — the engine's shuffle contract) and factors the stack once more
+// to obtain the final n x n R. The per-block Q factors stay in the DFS,
+// so a second map round can
 //
-//   - reconstruct the thin orthonormal Q = diag(Q_i) * Q2 block by block,
 //   - apply Q^T to a right-hand side (Q^T b = sum_i Q2_i^T Q_i^T b_i) for
 //     the least-squares solve x = R^-1 Q^T b, or
-//   - form W = A R^-1 (the mrtsqr ARInv path; W equals Q in exact
-//     arithmetic) and with it the pseudo-inverse A^+ = R^-1 W^T.
+//   - form each block Q_i Q2_i of the thin orthonormal Q = diag(Q_i) * Q2
+//     and with it the pseudo-inverse A^+ = R^-1 Q^T.
 //
 // Every entry point is a two-round MapReduce pipeline: one factorization
 // round over A, one application round over the stored blocks. The square
@@ -112,18 +111,15 @@ func (rep *Report) record(jr *mapreduce.JobResult) {
 	rep.SlotGrants += jr.SlotGrants
 }
 
-// Factorization is the distributed result of the factor round: the final
+// factorization is the distributed result of the factor round: the final
 // R is master-resident; the per-block Q_i and Q2 slices live in the DFS
 // under root, addressed by block index, until the caller deletes the tree.
-type Factorization struct {
+type factorization struct {
 	R      *matrix.Dense // n x n upper triangular, diagonal >= 0
 	root   string
 	blocks int
 	offs   []int // block row offsets, len blocks+1
 }
-
-// Blocks returns the row-block count the factorization used.
-func (f *Factorization) Blocks() int { return f.blocks }
 
 // ValidateTall checks that a is a usable TSQR input: non-nil, non-empty,
 // and at least as many rows as columns. Wide inputs get ErrNotTall
@@ -230,41 +226,15 @@ func decodeIndexed(v []byte) (int, *matrix.Dense, error) {
 	return i, m, nil
 }
 
-// FactorCtx runs the factor round: row blocks of a are written to the
-// DFS, each map task computes its block's thin Householder QR (storing
-// Q_i under root/Q1), and one reducer stacks the R_i factors in block
-// order, factors the (blocks*n) x n stack, canonicalizes signs so the
-// final R has a non-negative diagonal, and stores the Q2 slices under
-// root/Q2. The master decodes R and rejects rank-deficient input with a
-// typed error. Intermediates stay under cfg.Root for the apply rounds;
-// the caller owns their deletion.
-func (e *Engine) FactorCtx(ctx context.Context, a *matrix.Dense, cfg Config) (*Factorization, *Report, error) {
-	if err := ValidateTall(a); err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	m, n := a.Dims()
-	b := blockCount(m, n, cfg.Blocks, e.Cluster.Slots)
-	root := cfg.root()
-	rep := &Report{Rows: m, Cols: n, Blocks: b}
-	span := e.startSpan("tsqr.factor", m, n, b)
-	defer func() {
-		span.Finish()
-		rep.Elapsed = time.Since(start)
-		e.observe("tsqr.factor_latency", rep.Elapsed)
-	}()
-	e.count("tsqr.factorizations")
-
-	fac, err := e.factor(ctx, a, b, root, cfg, rep, span)
-	if err != nil {
-		return nil, rep, err
-	}
-	return fac, rep, nil
-}
-
-// factor is FactorCtx without validation/tracing setup, reused by the
-// solve entry points so their report and root span cover both rounds.
-func (e *Engine) factor(ctx context.Context, a *matrix.Dense, b int, root string, cfg Config, rep *Report, span *obs.Span) (*Factorization, error) {
+// factor runs the factor round: row blocks of a are written to the DFS,
+// each map task computes its block's thin Householder QR (storing Q_i
+// under root/Q1), and one reducer stacks the R_i factors in block order,
+// factors the (b*n) x n stack, canonicalizes signs so the final R has a
+// non-negative diagonal, and stores the Q2 slices under root/Q2. The
+// master decodes R and rejects rank-deficient input with a typed error.
+// Intermediates stay under root for the apply round; the entry point's
+// caller owns their deletion.
+func (e *Engine) factor(ctx context.Context, a *matrix.Dense, b int, root string, cfg Config, rep *Report, span *obs.Span) (*factorization, error) {
 	m, n := a.Dims()
 	offs := rowOffsets(m, b)
 	for i := 0; i < b; i++ {
@@ -359,7 +329,7 @@ func (e *Engine) factor(ctx context.Context, a *matrix.Dense, b int, root string
 		e.count("tsqr.rank_deficient")
 		return nil, err
 	}
-	return &Factorization{R: r, root: root, blocks: b, offs: offs}, nil
+	return &factorization{R: r, root: root, blocks: b, offs: offs}, nil
 }
 
 // checkRank rejects an R whose diagonal carries a numerically zero entry.
@@ -371,61 +341,6 @@ func checkRank(r *matrix.Dense) error {
 		}
 	}
 	return nil
-}
-
-// BuildQCtx runs the optional Q-reconstruction round on a factorization:
-// each map task multiplies its stored Q_i by its Q2 slice and stores the
-// product; the master stitches the m x n thin Q together.
-func (e *Engine) BuildQCtx(ctx context.Context, f *Factorization) (*matrix.Dense, *Report, error) {
-	start := time.Now()
-	m, n := f.offs[f.blocks], f.R.Cols
-	rep := &Report{Rows: m, Cols: n, Blocks: f.blocks}
-	span := e.startSpan("tsqr.buildq", m, n, f.blocks)
-	defer func() {
-		span.Finish()
-		rep.Elapsed = time.Since(start)
-	}()
-
-	job := &mapreduce.Job{
-		Name:   "tsqr.buildq",
-		Splits: mapreduce.ControlSplits(f.blocks),
-		Map: func(tctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
-			i := split.ID
-			qi, err := tctx.FS.ReadMatrixFrom(blockPath(f.root, "Q1", i), tctx.Node)
-			if err != nil {
-				return err
-			}
-			q2i, err := tctx.FS.ReadMatrixFrom(blockPath(f.root, "Q2", i), tctx.Node)
-			if err != nil {
-				return err
-			}
-			prod, err := matrix.Mul(qi, q2i)
-			if err != nil {
-				return err
-			}
-			if err := tctx.FS.WriteMatrix(blockPath(f.root, "Q", i), prod); err != nil {
-				return err
-			}
-			emit.Emit(fmt.Sprintf("%d", i), nil)
-			return nil
-		},
-	}
-	job.TraceParent = span
-	jr, err := e.Cluster.RunCtx(ctx, job)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.record(jr)
-
-	q := matrix.New(m, n)
-	for i := 0; i < f.blocks; i++ {
-		qi, err := e.FS.ReadMatrix(blockPath(f.root, "Q", i))
-		if err != nil {
-			return nil, rep, err
-		}
-		q.SetBlock(f.offs[i], 0, qi)
-	}
-	return q, rep, nil
 }
 
 func blockPath(root, dir string, i int) string {

@@ -21,6 +21,39 @@ func newEngine(nodes int) *Engine {
 	return &Engine{FS: fs, Cluster: mapreduce.NewCluster(fs, nodes)}
 }
 
+// factorBlocks runs the factor round alone with the entry points' block
+// resolution and returns its factorization and report.
+func factorBlocks(eng *Engine, a *matrix.Dense, blocks int, root string) (*factorization, *Report, error) {
+	m, n := a.Dims()
+	b := blockCount(m, n, blocks, eng.Cluster.Slots)
+	rep := &Report{Rows: m, Cols: n, Blocks: b}
+	fac, err := eng.factor(context.Background(), a, b, root, Config{}, rep, nil)
+	return fac, rep, err
+}
+
+// stitchQ assembles the thin Q = diag(Q_i) * Q2 from the Q1 and Q2
+// blocks the factor round left in the DFS.
+func stitchQ(t *testing.T, eng *Engine, fac *factorization) *matrix.Dense {
+	t.Helper()
+	q := matrix.New(fac.offs[fac.blocks], fac.R.Cols)
+	for i := 0; i < fac.blocks; i++ {
+		qi, err := eng.FS.ReadMatrix(blockPath(fac.root, "Q1", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2i, err := eng.FS.ReadMatrix(blockPath(fac.root, "Q2", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, err := matrix.Mul(qi, q2i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.SetBlock(fac.offs[i], 0, prod)
+	}
+	return q
+}
+
 // orthonormalError returns max |Q^T Q - I| — zero for exactly
 // orthonormal columns.
 func orthonormalError(t *testing.T, q *matrix.Dense) float64 {
@@ -44,8 +77,9 @@ func orthonormalError(t *testing.T, q *matrix.Dense) float64 {
 	return worst
 }
 
-// TestFactorReconstructsA checks the factor + build-Q rounds across
-// seeds and block counts: Q has orthonormal columns, R is upper
+// TestFactorReconstructsA checks the factor round across seeds and block
+// counts: the Q stitched from the stored Q1 and Q2 blocks has orthonormal
+// columns, R is upper
 // triangular with a non-negative diagonal, and ||A - QR||/||A|| is at
 // rounding level.
 func TestFactorReconstructsA(t *testing.T) {
@@ -61,12 +95,12 @@ func TestFactorReconstructsA(t *testing.T) {
 		{24, 6, 1, 5},  // degenerate single block
 	} {
 		a := workload.RandomRect(tc.m, tc.n, tc.seed)
-		fac, rep, err := eng.FactorCtx(context.Background(), a, Config{Blocks: tc.blocks, Root: "t/factor"})
+		fac, rep, err := factorBlocks(eng, a, tc.blocks, "t/factor")
 		if err != nil {
 			t.Fatalf("%dx%d blocks=%d: %v", tc.m, tc.n, tc.blocks, err)
 		}
-		if rep.JobsRun != 1 || rep.MapTasks != fac.Blocks() || rep.ReduceTasks != 1 {
-			t.Fatalf("report %+v, blocks %d", rep, fac.Blocks())
+		if rep.JobsRun != 1 || rep.MapTasks != fac.blocks || rep.ReduceTasks != 1 {
+			t.Fatalf("report %+v, blocks %d", rep, fac.blocks)
 		}
 		if fac.R.Rows != tc.n || fac.R.Cols != tc.n {
 			t.Fatalf("R is %dx%d, want %dx%d", fac.R.Rows, fac.R.Cols, tc.n, tc.n)
@@ -81,10 +115,7 @@ func TestFactorReconstructsA(t *testing.T) {
 				}
 			}
 		}
-		q, _, err := eng.BuildQCtx(context.Background(), fac)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := stitchQ(t, eng, fac)
 		if q.Rows != tc.m || q.Cols != tc.n {
 			t.Fatalf("Q is %dx%d, want %dx%d", q.Rows, q.Cols, tc.m, tc.n)
 		}
@@ -110,7 +141,7 @@ func TestFactorBlockCountInvariant(t *testing.T) {
 	a := workload.RandomRect(96, 6, 77)
 	var ref *matrix.Dense
 	for _, blocks := range []int{1, 2, 3, 8} {
-		fac, _, err := eng.FactorCtx(context.Background(), a, Config{Blocks: blocks, Root: "t/inv"})
+		fac, _, err := factorBlocks(eng, a, blocks, "t/inv")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,53 +213,26 @@ func TestLeastSquaresExactSystem(t *testing.T) {
 	}
 }
 
-// TestARInvOrthonormal checks the mrtsqr AR^-1 construction: W = A R^-1
-// has orthonormal columns (it equals Q in exact arithmetic).
-func TestARInvOrthonormal(t *testing.T) {
-	eng := newEngine(4)
-	a := workload.RandomRect(72, 6, 31)
-	fac, _, err := eng.FactorCtx(context.Background(), a, Config{Blocks: 3, Root: "t/arinv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, rep, err := eng.ARInvCtx(context.Background(), fac, Config{Root: "t/arinv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.JobsRun != 1 {
-		t.Fatalf("arinv ran %d jobs, want 1", rep.JobsRun)
-	}
-	if e := orthonormalError(t, w); e > 1e-10 {
-		t.Fatalf("W orthonormality error %g", e)
-	}
-	q, _, err := eng.BuildQCtx(context.Background(), fac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(w, q); d > 1e-10 {
-		t.Fatalf("|W - Q| = %g", d)
-	}
-}
-
 // TestPInv checks the distributed pseudo-inverse: A^+ A = I (left
-// inverse of a full-column-rank tall matrix) and agreement with the
-// sequential reference.
+// inverse of a full-column-rank tall matrix) in exactly two MapReduce
+// jobs, and agreement with the sequential reference. The graded rows
+// sweep the condition number κ: both paths must keep |A^+ A - I| within
+// 4·n·κ·ε, the accuracy of A^+ = R^-1 Q^T with a directly formed Q.
 func TestPInv(t *testing.T) {
 	eng := newEngine(4)
 	for _, blocks := range []int{0, 2, 6} {
 		a := workload.RandomRect(66, 5, 41)
-		pinv, _, err := eng.PInvCtx(context.Background(), a, Config{Blocks: blocks, Root: "t/pinv"})
+		pinv, rep, err := eng.PInvCtx(context.Background(), a, Config{Blocks: blocks, Root: "t/pinv"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pinv.Rows != 5 || pinv.Cols != 66 {
 			t.Fatalf("A+ is %dx%d, want 5x66", pinv.Rows, pinv.Cols)
 		}
-		pa, err := matrix.Mul(pinv, a)
-		if err != nil {
-			t.Fatal(err)
+		if rep.JobsRun != 2 {
+			t.Fatalf("pinv ran %d jobs, want 2", rep.JobsRun)
 		}
-		if d := matrix.MaxAbsDiff(pa, matrix.Identity(5)); d > 1e-10 {
+		if d := leftInverseError(t, pinv, a); d > 1e-10 {
 			t.Fatalf("blocks=%d: |A+ A - I| = %g", blocks, d)
 		}
 		ref, err := SequentialPInv(a)
@@ -240,6 +244,40 @@ func TestPInv(t *testing.T) {
 		}
 		eng.FS.DeleteTree("t")
 	}
+	for _, shape := range []struct{ m, n, blocks int }{{512, 16, 8}, {48, 3, 4}} {
+		for _, kappa := range []float64{1, 1e2, 1e4, 1e6, 1e8, 1e10} {
+			a := workload.Graded(shape.m, shape.n, kappa, 7)
+			bound := 4 * float64(shape.n) * kappa * epsilon
+			pinv, _, err := eng.PInvCtx(context.Background(), a, Config{Blocks: shape.blocks, Root: "t/graded"})
+			if err != nil {
+				t.Fatalf("%dx%d κ=%g: %v", shape.m, shape.n, kappa, err)
+			}
+			if d := leftInverseError(t, pinv, a); d > bound {
+				t.Errorf("tsqr %dx%d κ=%g: |A+ A - I| = %.3g > %.3g", shape.m, shape.n, kappa, d, bound)
+			}
+			ref, err := SequentialPInv(a)
+			if err != nil {
+				t.Fatalf("sequential %dx%d κ=%g: %v", shape.m, shape.n, kappa, err)
+			}
+			if d := leftInverseError(t, ref, a); d > bound {
+				t.Errorf("sequential %dx%d κ=%g: |A+ A - I| = %.3g > %.3g", shape.m, shape.n, kappa, d, bound)
+			}
+			eng.FS.DeleteTree("t")
+		}
+	}
+}
+
+// epsilon is the float64 unit roundoff 2^-52.
+const epsilon = 0x1p-52
+
+// leftInverseError returns max |P A - I|.
+func leftInverseError(t *testing.T, p, a *matrix.Dense) float64 {
+	t.Helper()
+	pa, err := matrix.Mul(p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matrix.MaxAbsDiff(pa, matrix.Identity(a.Cols))
 }
 
 // TestRankDeficientTypedError: a tall matrix with a duplicated column is
@@ -253,7 +291,7 @@ func TestRankDeficientTypedError(t *testing.T) {
 	}
 	b := workload.RandomRect(40, 1, 52)
 
-	if _, _, err := eng.FactorCtx(context.Background(), a, Config{Root: "t/rd"}); !errors.Is(err, ErrRankDeficient) {
+	if _, _, err := factorBlocks(eng, a, 0, "t/rd"); !errors.Is(err, ErrRankDeficient) {
 		t.Fatalf("factor: err %v, want ErrRankDeficient", err)
 	}
 	if _, _, err := eng.LeastSquaresCtx(context.Background(), a, b, Config{Root: "t/rd"}); !errors.Is(err, ErrRankDeficient) {
@@ -275,7 +313,7 @@ func TestRankDeficientTypedError(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	eng := newEngine(2)
 	wide := workload.RandomRect(3, 9, 1)
-	if _, _, err := eng.FactorCtx(context.Background(), wide, Config{}); !errors.Is(err, ErrNotTall) {
+	if _, _, err := eng.PInvCtx(context.Background(), wide, Config{}); !errors.Is(err, ErrNotTall) {
 		t.Fatalf("wide: err %v, want ErrNotTall", err)
 	} else if !strings.Contains(err.Error(), "3x9") {
 		t.Fatalf("wide error %q lacks observed shape", err)
@@ -364,11 +402,7 @@ func TestNilInstrumentationSafe(t *testing.T) {
 	if _, _, err := eng.LeastSquaresCtx(context.Background(), a, b, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	fac, _, err := eng.FactorCtx(context.Background(), a, Config{Root: "t2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.BuildQCtx(context.Background(), fac); err != nil {
+	if _, _, err := eng.PInvCtx(context.Background(), a, Config{Root: "t2"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/matrix"
@@ -192,10 +193,18 @@ func ProjectionMatrix(pixels int, seed int64) *matrix.Dense {
 // condition number 1, so inversion (= transposition) is maximally stable —
 // the opposite end of the spectrum from Hilbert.
 func Orthogonal(n int, seed int64) *matrix.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	q := matrix.Identity(n)
-	v := make([]float64, n)
-	for k := 0; k < n; k++ {
+	return orthonormalRows(n, n, rand.New(rand.NewSource(seed)))
+}
+
+// orthonormalRows returns an r x c matrix (r <= c) with orthonormal rows:
+// the first r rows of a product of c random Householder reflections.
+func orthonormalRows(r, c int, rng *rand.Rand) *matrix.Dense {
+	q := matrix.New(r, c)
+	for i := 0; i < r; i++ {
+		q.Set(i, i, 1)
+	}
+	v := make([]float64, c)
+	for k := 0; k < c; k++ {
 		var norm2 float64
 		for i := range v {
 			v[i] = rng.NormFloat64()
@@ -205,19 +214,42 @@ func Orthogonal(n int, seed int64) *matrix.Dense {
 			continue
 		}
 		// Q <- Q (I - 2 v v^T / |v|^2)
-		for i := 0; i < n; i++ {
+		for i := 0; i < r; i++ {
 			row := q.Row(i)
 			var dot float64
-			for j := 0; j < n; j++ {
+			for j := 0; j < c; j++ {
 				dot += row[j] * v[j]
 			}
 			scale := 2 * dot / norm2
-			for j := 0; j < n; j++ {
+			for j := 0; j < c; j++ {
 				row[j] -= scale * v[j]
 			}
 		}
 	}
 	return q
+}
+
+// Graded returns an m x n (m >= n) matrix U diag(σ) V^T with condition
+// number kappa: U and V have orthonormal columns (random Householder
+// products) and σ is log-spaced from 1 down to 1/kappa. It is the input
+// of the conditioning sweeps that pin least-squares and pseudo-inverse
+// accuracy against κ·ε.
+func Graded(m, n int, kappa float64, seed int64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	ut := orthonormalRows(n, m, rng)
+	vt := orthonormalRows(n, n, rng)
+	for j := 1; j < n; j++ {
+		sigma := math.Pow(kappa, -float64(j)/float64(n-1))
+		row := ut.Row(j)
+		for i := range row {
+			row[i] *= sigma
+		}
+	}
+	a, err := matrix.Mul(ut.Transpose(), vt)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 // Banded returns a random diagonally dominant band matrix with the given

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/lu"
 	"repro/internal/matrix"
 )
 
@@ -98,6 +99,39 @@ func TestOrthogonal(t *testing.T) {
 	}
 	if d := matrix.MaxAbsDiff(qtq, matrix.Identity(24)); d > 1e-12 {
 		t.Fatalf("Q^T Q deviates from I by %g", d)
+	}
+}
+
+// TestGraded pins Graded's spectrum through two symmetric functions of
+// the eigenvalues σ_j² of A^T A: the trace and the determinant.
+func TestGraded(t *testing.T) {
+	m, n, kappa := 60, 4, 1e3
+	a := Graded(m, n, kappa, 9)
+	if a.Rows != m || a.Cols != n {
+		t.Fatalf("dims %dx%d, want %dx%d", a.Rows, a.Cols, m, n)
+	}
+	if !matrix.Equal(a, Graded(m, n, kappa, 9), 0) {
+		t.Fatal("same seed must give same matrix")
+	}
+	ata, err := matrix.Mul(a.Transpose(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := lu.Decompose(ata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, det := 0.0, 1.0
+	for j := 0; j < n; j++ {
+		s := math.Pow(kappa, -float64(j)/float64(n-1))
+		trace += s * s
+		det *= s * s
+	}
+	if got := matrix.NormFrobenius(a); math.Abs(got*got-trace) > 1e-12*trace {
+		t.Fatalf("|A|_F^2 = %g, want sum σ² = %g", got*got, trace)
+	}
+	if got := f.Det(); math.Abs(got-det) > 1e-8*det {
+		t.Fatalf("det(A^T A) = %g, want prod σ² = %g", got, det)
 	}
 }
 
