@@ -21,6 +21,9 @@ import (
 // as Invert, intermediates held as cached RDD partitions, lost partitions
 // recomputed from lineage.
 func InvertSpark(a *Matrix, workers, nb int) (*Matrix, error) {
+	if err := core.ValidateInput(a); err != nil {
+		return nil, err
+	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -69,6 +72,9 @@ func PlanEngine(n int, cluster ClusterSpec, nb int) EngineChoice {
 // fastest feasible one, and executes that technique on this machine's
 // simulated substrate. nb <= 0 selects the model's optimal bound value.
 func AutoInvert(a *Matrix, cluster ClusterSpec, nb int) (*Matrix, EngineChoice, error) {
+	if err := core.ValidateInput(a); err != nil {
+		return nil, EngineChoice{}, err
+	}
 	node := costmodel.Medium
 	if cluster.Large {
 		node = costmodel.Large

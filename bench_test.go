@@ -340,7 +340,7 @@ func BenchmarkKernelInverters(b *testing.B) {
 
 // BenchmarkEngines compares all execution engines on the same input: the
 // HDFS-backed MapReduce pipeline, the Section 8 Spark-style engine, and
-// both ScaLAPACK layouts.
+// the ScaLAPACK baseline.
 func BenchmarkEngines(b *testing.B) {
 	a := Random(benchOrder, 25)
 	b.Run("mapreduce", func(b *testing.B) {
@@ -353,46 +353,11 @@ func BenchmarkEngines(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scalapack-1d", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 8, BlockSize: 32}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalapack-2d", func(b *testing.B) {
-		var st *scalapack.Stats
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, st, err = scalapack.Invert2D(a, scalapack.Grid2D{Procs: 8, BlockSize: 32})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(st.BytesTransferred), "bytesTransferred")
-	})
-}
-
-// BenchmarkGridAblation1Dvs2D measures the communication advantage of the
-// 2-D process grid the paper configures for ScaLAPACK (Section 7.5).
-func BenchmarkGridAblation1Dvs2D(b *testing.B) {
-	a := Random(128, 26)
-	b.Run("1d-16p", func(b *testing.B) {
+	b.Run("scalapack", func(b *testing.B) {
 		var st *ScaLAPACKStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			_, st, err = InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 16, BlockSize: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(st.BytesTransferred), "bytesTransferred")
-	})
-	b.Run("2d-16p", func(b *testing.B) {
-		var st *scalapack.Stats
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, st, err = scalapack.Invert2D(a, scalapack.Grid2D{Procs: 16, BlockSize: 8})
+			_, st, err = InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 8, BlockSize: 32})
 			if err != nil {
 				b.Fatal(err)
 			}

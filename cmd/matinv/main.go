@@ -3,7 +3,7 @@
 //
 //	matinv -in a.bin -out inv.bin -nodes 8 -nb 128
 //	matinv -in a.txt -engine local        # single-node Algorithm 1
-//	matinv -in a.bin -engine scalapack    # the MPI baseline
+//	matinv -in a.bin -engine scalapack    # the MPI baseline (f1 x f2 process grid)
 //
 // Disable individual Section 6 optimizations with -no-separate-files,
 // -no-block-wrap, -no-transpose-u.
@@ -24,7 +24,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/scalapack"
 )
 
 // printLayout renders the Figure 4 HDFS tree: directories with file
@@ -61,7 +60,7 @@ func printLayout(p *core.Pipeline) {
 func main() {
 	in := flag.String("in", "", "input matrix file (.txt = text format)")
 	out := flag.String("out", "", "optional output file for the inverse")
-	engine := flag.String("engine", "mapreduce", "mapreduce | local | scalapack | scalapack2d | spark | auto")
+	engine := flag.String("engine", "mapreduce", "mapreduce | local | scalapack | spark | auto")
 	nodes := flag.Int("nodes", 8, "simulated cluster nodes (m0) / MPI ranks")
 	nb := flag.Int("nb", 512, "bound value for the MapReduce pipeline")
 	blockSize := flag.Int("block", 128, "ScaLAPACK distribution block size")
@@ -144,12 +143,6 @@ func main() {
 		}
 	case "local":
 		inv, err = mrinverse.InvertLocal(a)
-	case "scalapack2d":
-		var st *scalapack.Stats
-		inv, st, err = scalapack.Invert2D(a, scalapack.Grid2D{Procs: *nodes, BlockSize: *blockSize, Tracer: tracer, Metrics: metrics})
-		if err == nil {
-			fmt.Printf("MPI 2-D grid: %d messages, %d bytes transferred\n", st.Messages, st.BytesTransferred)
-		}
 	case "spark":
 		inv, err = mrinverse.InvertSpark(a, *nodes, *nb)
 		if err == nil {
@@ -165,8 +158,7 @@ func main() {
 		var st *mrinverse.ScaLAPACKStats
 		inv, st, err = mrinverse.InvertScaLAPACK(a, mrinverse.ScaLAPACKConfig{Procs: *nodes, BlockSize: *blockSize, Tracer: tracer, Metrics: metrics})
 		if err == nil {
-			fmt.Printf("MPI: %d messages, %d bytes transferred, %d panel broadcasts\n",
-				st.Messages, st.BytesTransferred, st.PanelBroadcasts)
+			fmt.Printf("MPI: %d messages, %d bytes transferred\n", st.Messages, st.BytesTransferred)
 		}
 	default:
 		log.Fatalf("unknown engine %q", *engine)

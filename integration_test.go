@@ -4,13 +4,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/scalapack"
 )
 
 // TestAllEnginesAgreeOnOneInput is the cross-engine integration test: the
 // MapReduce pipeline, the Spark-style engine, the single-node kernel, and
-// both ScaLAPACK layouts invert the same matrix and must agree to
+// the ScaLAPACK baseline invert the same matrix and must agree to
 // round-off.
 func TestAllEnginesAgreeOnOneInput(t *testing.T) {
 	n := 96
@@ -35,18 +33,13 @@ func TestAllEnginesAgreeOnOneInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1, _, err := InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 4, BlockSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s2, _, err := scalapack.Invert2D(a, scalapack.Grid2D{Procs: 4, BlockSize: 8})
+	sl, _, err := InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 4, BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for name, inv := range map[string]*Matrix{
-		"mapreduce": mr, "spark": sp, "scalapack-1d": s1, "scalapack-2d": s2,
+		"mapreduce": mr, "spark": sp, "scalapack": sl,
 	} {
 		var worst float64
 		for i := range ref.Data {

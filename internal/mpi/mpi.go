@@ -1,6 +1,6 @@
 // Package mpi is a minimal message-passing substrate modeled on the MPI
-// primitives ScaLAPACK uses: rank-addressed point-to-point sends and
-// receives plus a few collectives, implemented over Go channels.
+// primitives ScaLAPACK uses: rank-addressed, tagged point-to-point sends
+// and receives, implemented over Go channels.
 //
 // The HPDC 2014 paper compares its MapReduce inverter against ScaLAPACK
 // over MPICH; this package lets the repository's ScaLAPACK-style baseline
@@ -27,8 +27,6 @@ type message struct {
 type World struct {
 	size   int
 	queues []chan message
-
-	barrier *barrier
 
 	bytesSent  atomic.Int64
 	msgsSent   atomic.Int64
@@ -57,7 +55,6 @@ func NewWorld(size int) *World {
 	w := &World{
 		size:       size,
 		queues:     make([]chan message, size),
-		barrier:    newBarrier(size),
 		perRankTxB: make([]atomic.Int64, size),
 		perRankRxB: make([]atomic.Int64, size),
 		maxInbox:   1024,
@@ -181,122 +178,9 @@ func (c *Comm) recvMatch(src, tag int) message {
 	}
 }
 
-// Bcast broadcasts data from root to all ranks and returns each rank's
-// copy. Every rank must call it with the same root and tag.
-func (c *Comm) Bcast(root, tag int, data []float64) []float64 {
-	if c.rank == root {
-		for r := 0; r < c.w.size; r++ {
-			if r != root {
-				c.Send(r, tag, data)
-			}
-		}
-		return append([]float64(nil), data...)
-	}
-	return c.Recv(root, tag)
-}
-
-// BcastInts is Bcast for int payloads.
-func (c *Comm) BcastInts(root, tag int, data []int) []int {
-	if c.rank == root {
-		for r := 0; r < c.w.size; r++ {
-			if r != root {
-				c.SendInts(r, tag, data)
-			}
-		}
-		return append([]int(nil), data...)
-	}
-	return c.RecvInts(root, tag)
-}
-
-// Barrier blocks until all ranks reach it.
-func (c *Comm) Barrier() { c.w.barrier.await() }
-
-// AllReduceMaxLoc finds the (value, owner-rank, payload-index) triple with
-// the maximum |value| across all ranks — the pivot-selection collective of
-// distributed LU. Each rank contributes one candidate.
-func (c *Comm) AllReduceMaxLoc(tag int, value float64, index int) (float64, int, int) {
-	// Gather at rank 0, reduce, broadcast.
-	if c.rank == 0 {
-		bestV, bestRank, bestIdx := value, 0, index
-		for r := 1; r < c.w.size; r++ {
-			m := c.recvMatch(r, tag)
-			v := m.data[0]
-			if abs(v) > abs(bestV) {
-				bestV, bestRank, bestIdx = v, r, m.ints[0]
-			}
-		}
-		for r := 1; r < c.w.size; r++ {
-			c.sendMsg(r, tag, []float64{bestV}, []int{bestRank, bestIdx})
-		}
-		return bestV, bestRank, bestIdx
-	}
-	c.sendMsg(0, tag, []float64{value}, []int{index})
-	m := c.recvMatch(0, tag)
-	return m.data[0], m.ints[0], m.ints[1]
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// barrier is a reusable all-rank rendezvous.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	phase int
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	phase := b.phase
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-	} else {
-		for phase == b.phase {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
-
-// Run launches fn on every rank concurrently and waits for all to finish,
-// returning the first error.
-func Run(size int, fn func(c *Comm) error) error {
-	w := NewWorld(size)
-	defer cleanup(w)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = fn(w.At(r))
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunWorld is Run over a caller-provided world (to inspect counters).
+// RunWorld launches fn on every rank of w concurrently and waits for all
+// to finish, returning the first error. The caller keeps w to read its
+// counters afterwards.
 func RunWorld(w *World, fn func(c *Comm) error) error {
 	defer cleanup(w)
 	errs := make([]error, w.size)

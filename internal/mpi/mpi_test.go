@@ -2,12 +2,11 @@ package mpi
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
 func TestPingPong(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := RunWorld(NewWorld(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
 			back := c.Recv(1, 8)
@@ -29,7 +28,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
+	err := RunWorld(NewWorld(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			c.Send(1, 1, buf)
@@ -48,7 +47,7 @@ func TestSendCopiesPayload(t *testing.T) {
 
 func TestTagAndSourceMatching(t *testing.T) {
 	// Out-of-order delivery across tags must be handled by stashing.
-	err := Run(2, func(c *Comm) error {
+	err := RunWorld(NewWorld(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 2, []float64{2})
 			c.Send(1, 1, []float64{1})
@@ -58,78 +57,6 @@ func TestTagAndSourceMatching(t *testing.T) {
 			if first[0] != 1 || second[0] != 2 {
 				return errors.New("tag matching broken")
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	const n = 5
-	var sum atomic.Int64
-	err := Run(n, func(c *Comm) error {
-		var data []float64
-		if c.Rank() == 2 {
-			data = []float64{3.5}
-		}
-		got := c.Bcast(2, 9, data)
-		if got[0] != 3.5 {
-			return errors.New("bcast value wrong")
-		}
-		sum.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != n {
-		t.Fatalf("ranks completed = %d", sum.Load())
-	}
-}
-
-func TestBcastInts(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		var p []int
-		if c.Rank() == 0 {
-			p = []int{4, 5, 6}
-		}
-		got := c.BcastInts(0, 3, p)
-		if len(got) != 3 || got[2] != 6 {
-			return errors.New("int bcast wrong")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	const n = 4
-	var phase atomic.Int64
-	err := Run(n, func(c *Comm) error {
-		phase.Add(1)
-		c.Barrier()
-		if phase.Load() != n {
-			return errors.New("barrier released early")
-		}
-		c.Barrier() // reusable
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduceMaxLoc(t *testing.T) {
-	const n = 5
-	err := Run(n, func(c *Comm) error {
-		// Rank r contributes value -(r+1); rank 4 has max magnitude 5.
-		v, owner, idx := c.AllReduceMaxLoc(11, -float64(c.Rank()+1), c.Rank()*10)
-		if v != -5 || owner != 4 || idx != 40 {
-			return errors.New("maxloc wrong")
 		}
 		return nil
 	})
@@ -167,7 +94,7 @@ func TestByteAccounting(t *testing.T) {
 
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := errors.New("rank failed")
-	err := Run(3, func(c *Comm) error {
+	err := RunWorld(NewWorld(3), func(c *Comm) error {
 		if c.Rank() == 1 {
 			return sentinel
 		}
@@ -179,7 +106,7 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestAnySource(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
+	err := RunWorld(NewWorld(3), func(c *Comm) error {
 		if c.Rank() == 0 {
 			got1 := c.Recv(-1, 5)
 			got2 := c.Recv(-1, 5)

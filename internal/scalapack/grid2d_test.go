@@ -3,12 +3,14 @@ package scalapack
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/workload"
 )
+
+// The tests below exercise the pr x pc process grid on shapes where both
+// grid dimensions exceed one.
 
 func TestInvert2DMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
@@ -23,7 +25,7 @@ func TestInvert2DMatchesReference(t *testing.T) {
 		{20, 4, 64}, // block larger than matrix share
 	} {
 		a := workload.Random(tc.n, int64(tc.n*7+tc.procs))
-		got, st, err := Invert2D(a, Grid2D{Procs: tc.procs, BlockSize: tc.bs})
+		got, st, err := Invert(a, Config{Procs: tc.procs, BlockSize: tc.bs})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -48,7 +50,7 @@ func TestInvert2DPivoting(t *testing.T) {
 		{0, 0, 0, 5},
 		{0, 7, 0, 0},
 	})
-	inv, _, err := Invert2D(a, Grid2D{Procs: 4, BlockSize: 1})
+	inv, _, err := Invert(a, Config{Procs: 4, BlockSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +65,16 @@ func TestInvert2DPivoting(t *testing.T) {
 
 func TestInvert2DSingular(t *testing.T) {
 	sing := matrix.FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, _, err := Invert2D(sing, Grid2D{Procs: 4, BlockSize: 1}); !errors.Is(err, ErrSingular) {
+	if _, _, err := Invert(sing, Config{Procs: 4, BlockSize: 1}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestInvert2DNonSquareAndEmpty(t *testing.T) {
-	if _, _, err := Invert2D(matrix.New(2, 3), Grid2D{Procs: 2}); err == nil {
+	if _, _, err := Invert(matrix.New(2, 3), Config{Procs: 2}); err == nil {
 		t.Fatal("non-square accepted")
 	}
-	inv, _, err := Invert2D(matrix.New(0, 0), Grid2D{Procs: 2})
+	inv, _, err := Invert(matrix.New(0, 0), Config{Procs: 2})
 	if err != nil || inv.Rows != 0 {
 		t.Fatalf("empty: %v %v", inv, err)
 	}
@@ -82,54 +84,17 @@ func TestGrid2DFactorization(t *testing.T) {
 	for _, tc := range []struct{ procs, pr, pc int }{
 		{1, 1, 1}, {2, 2, 1}, {4, 2, 2}, {6, 3, 2}, {8, 4, 2}, {12, 4, 3}, {16, 4, 4},
 	} {
-		g := Grid2D{Procs: tc.procs, BlockSize: 8}
-		pr, pc := g.normalize()
+		c := Config{Procs: tc.procs, BlockSize: 8}
+		pr, pc := c.normalize()
 		if pr != tc.pr || pc != tc.pc {
 			t.Errorf("Procs=%d: grid %dx%d, want %dx%d", tc.procs, pr, pc, tc.pr, tc.pc)
 		}
 	}
 }
 
-// Test2DTransfersLessThan1D demonstrates why ScaLAPACK uses 2-D grids:
-// for the same process count, the factorization's per-step broadcasts
-// touch pr+pc ranks instead of m0, so total communication drops.
-func Test2DTransfersLessThan1D(t *testing.T) {
-	n, procs := 64, 16
-	a := workload.Random(n, 4001)
-
-	_, st1d, err := Invert(a, Config{Procs: procs, BlockSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st2d, err := Invert2D(a, Grid2D{Procs: procs, BlockSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2d.BytesTransferred >= st1d.BytesTransferred {
-		t.Fatalf("2-D grid transferred %d >= 1-D %d", st2d.BytesTransferred, st1d.BytesTransferred)
-	}
-}
-
-// TestQuick1DMatches2D cross-checks the two layouts on random
-// configurations — both must produce the same inverse.
-func TestQuick1DMatches2D(t *testing.T) {
-	f := func(seed int64, nRaw, pRaw, bsRaw uint8) bool {
-		n := int(nRaw%24) + 8
-		procs := int(pRaw%4)*2 + 1 // 1,3,5,7
-		bs := int(bsRaw%6) + 1
-		a := workload.DiagonallyDominant(n, seed)
-		one, _, err1 := Invert(a, Config{Procs: procs, BlockSize: bs})
-		two, _, err2 := Invert2D(a, Grid2D{Procs: procs, BlockSize: bs})
-		return err1 == nil && err2 == nil && matrix.MaxAbsDiff(one, two) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInvert2DResidualCriterion(t *testing.T) {
 	a := workload.Random(60, 4002)
-	inv, _, err := Invert2D(a, Grid2D{Procs: 6, BlockSize: 4})
+	inv, _, err := Invert(a, Config{Procs: 6, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

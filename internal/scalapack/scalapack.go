@@ -5,19 +5,22 @@
 // inversion from the factors (the PDGETRI analog), running over the
 // channel-based MPI substrate in internal/mpi.
 //
-// Layout: one-dimensional column-block-cyclic distribution — global column
-// j lives on rank (j/BlockSize) mod P. This keeps pivot search local to
-// the panel owner while reproducing the communication profile the paper
-// attributes to ScaLAPACK (Tables 1 and 2): every elimination step
-// broadcasts a multiplier panel to all ranks, and inversion requires each
-// rank to hold both triangular factors, for a total transfer that grows
-// as m0·n² — the term that makes ScaLAPACK lose to the MapReduce pipeline
-// at scale (Figure 8, Section 7.5).
+// Layout: the process grid the paper uses for its ScaLAPACK runs — "we
+// set the process grid to f1 x f2, where m0 = f1 x f2 is the number of
+// compute nodes" with 128 x 128 distribution blocks (Section 7.5).
+// Element (i, j) lives on process (⌊i/bs⌋ mod pr, ⌊j/bs⌋ mod pc). Each
+// elimination step broadcasts its multiplier column along process rows
+// and its pivot row along process columns, O(n) x (pr + pc) per step;
+// inversion then requires every rank to hold both triangular factors, for
+// a total transfer that grows as m0·n² — the term that makes ScaLAPACK
+// lose to the MapReduce pipeline at scale (Tables 1 and 2, Figure 8).
 //
 // All intermediate state stays in memory, matching the paper's remark
 // that "in our ScaLAPACK implementation, all intermediate data is stored
 // in memory, such that the matrix is read only once and written only
-// once".
+// once". Every rank reads its owned elements of the input directly, so
+// the transfer count covers the solver's own communication and the
+// gather of the inverse at rank 0, not an input scatter.
 package scalapack
 
 import (
@@ -25,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -40,6 +42,8 @@ const DefaultBlockSize = 128
 
 // Config selects the process count and distribution block size.
 type Config struct {
+	// Procs is the total process count m0; the grid is the near-square
+	// factorization pr x pc (pr >= pc) computed by normalize.
 	Procs     int
 	BlockSize int
 	// Tracer, when non-nil, records the run as a span carrying the
@@ -49,38 +53,48 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c *Config) normalize() {
+func (c *Config) normalize() (pr, pc int) {
 	if c.Procs < 1 {
 		c.Procs = 1
 	}
 	if c.BlockSize < 1 {
 		c.BlockSize = DefaultBlockSize
 	}
+	for f := 1; f*f <= c.Procs; f++ {
+		if c.Procs%f == 0 {
+			pc = f
+		}
+	}
+	return c.Procs / pc, pc
 }
 
 // Stats reports the run's communication volume.
 type Stats struct {
 	BytesTransferred int64
 	Messages         int64
-	PanelBroadcasts  int
 }
 
-// message tags.
+// message tags; each communication round offsets them by a fresh
+// multiple of tagStride so rounds never collide.
 const (
-	tagScatter = iota
-	tagPanel
-	tagGatherLU
-	tagGatherInv
-	tagPivot
+	tagPivCand = iota
+	tagPivDecision
+	tagSwap
+	tagAkk
+	tagLseg
+	tagUseg
+	tagGather
+	tagResult
+	tagStride
 )
 
-// Invert computes A^-1 with the distributed algorithm and returns
+// Invert computes A^-1 on a pr x pc process grid and reports
 // communication statistics.
 func Invert(a *matrix.Dense, cfg Config) (*matrix.Dense, *Stats, error) {
 	if !a.IsSquare() {
 		return nil, nil, fmt.Errorf("scalapack: input is %dx%d, not square", a.Rows, a.Cols)
 	}
-	cfg.normalize()
+	pr, pc := cfg.normalize()
 	n := a.Rows
 	if n == 0 {
 		return matrix.New(0, 0), &Stats{}, nil
@@ -89,11 +103,11 @@ func Invert(a *matrix.Dense, cfg Config) (*matrix.Dense, *Stats, error) {
 	world.AttachMetrics(cfg.Metrics)
 	span := cfg.Tracer.StartSpan("scalapack.invert", obs.KindPipeline)
 	span.SetAttr("order", int64(n))
-	span.SetAttr("procs", int64(cfg.Procs))
+	span.SetAttr("grid_rows", int64(pr))
+	span.SetAttr("grid_cols", int64(pc))
 	out := matrix.New(n, n)
-	var panels int
 	err := mpi.RunWorld(world, func(c *mpi.Comm) error {
-		return rankMain(c, a, out, cfg, &panels)
+		return rankProgram(c, a, out, n, pr, pc, cfg.BlockSize)
 	})
 	finishWorldSpan(span, world, err)
 	if err != nil {
@@ -102,7 +116,6 @@ func Invert(a *matrix.Dense, cfg Config) (*matrix.Dense, *Stats, error) {
 	return out, &Stats{
 		BytesTransferred: world.BytesSent(),
 		Messages:         world.MessagesSent(),
-		PanelBroadcasts:  panels,
 	}, nil
 }
 
@@ -124,166 +137,339 @@ func finishWorldSpan(span *obs.Span, world *mpi.World, err error) {
 	span.Finish()
 }
 
-// ownerOf returns the rank owning global column j.
-func ownerOf(j, bs, procs int) int { return (j / bs) % procs }
-
-// localColumns lists the global columns owned by rank r.
-func localColumns(n, bs, procs, r int) []int {
-	var out []int
-	for j := 0; j < n; j++ {
-		if ownerOf(j, bs, procs) == r {
-			out = append(out, j)
-		}
-	}
-	return out
+// grid holds one rank's view of the grid.
+type grid struct {
+	c          *mpi.Comm
+	n, pr, pc  int
+	bs         int
+	myRow      int
+	myCol      int
+	local      *matrix.Dense // full-size buffer; only owned elements valid
+	rowOwned   []bool
+	colOwned   []bool
+	tagCounter int
 }
 
-// rankMain is the per-rank program: scatter, factorize, allgather, invert
-// owned columns, gather.
-func rankMain(c *mpi.Comm, a, out *matrix.Dense, cfg Config, panels *int) error {
-	n := a.Rows
-	p := cfg.Procs
-	bs := cfg.BlockSize
-	mine := localColumns(n, bs, p, c.Rank())
-	local := matrix.New(n, len(mine))
-	globalToLocal := make(map[int]int, len(mine))
-	for li, j := range mine {
-		globalToLocal[j] = li
+func (g *grid) rowOwner(i int) int        { return (i / g.bs) % g.pr }
+func (g *grid) colOwner(j int) int        { return (j / g.bs) % g.pc }
+func (g *grid) rankOf(prow, pcol int) int { return prow*g.pc + pcol }
+
+// tags returns a fresh tag block for one communication round.
+func (g *grid) tags() int {
+	g.tagCounter += tagStride
+	return g.tagCounter
+}
+
+// rankProgram is the per-rank program: factorize, allgather the factors,
+// invert interleaved columns, gather the inverse at rank 0.
+func rankProgram(c *mpi.Comm, a, out *matrix.Dense, n, pr, pc, bs int) error {
+	g := &grid{
+		c: c, n: n, pr: pr, pc: pc, bs: bs,
+		myRow: c.Rank() / pc, myCol: c.Rank() % pc,
+		local:    matrix.New(n, n),
+		rowOwned: make([]bool, n),
+		colOwned: make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		g.rowOwned[i] = g.rowOwner(i) == g.myRow
+	}
+	for j := 0; j < n; j++ {
+		g.colOwned[j] = g.colOwner(j) == g.myCol
+	}
+	// Every rank initializes its owned elements from the caller-held
+	// input (a scatter in spirit; byte accounting focuses on the solver's
+	// own communication, as the paper's Tables do for the factorization).
+	for i := 0; i < n; i++ {
+		if !g.rowOwned[i] {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if g.colOwned[j] {
+				g.local.Set(i, j, a.At(i, j))
+			}
+		}
 	}
 
-	// --- Scatter: rank 0 distributes column panels ("read once"). ---
-	if c.Rank() == 0 {
-		for r := 1; r < p; r++ {
-			cols := localColumns(n, bs, p, r)
-			buf := make([]float64, 0, n*len(cols))
-			for _, j := range cols {
-				buf = append(buf, a.Col(j)...)
-			}
-			c.Send(r, tagScatter, buf)
+	perm := matrix.IdentityPerm(n)
+	for k := 0; k < n; k++ {
+		piv, err := g.step(k)
+		if err != nil {
+			return err
 		}
-		for li, j := range mine {
-			col := a.Col(j)
-			for i := 0; i < n; i++ {
-				local.Set(i, li, col[i])
+		perm[k], perm[piv] = perm[piv], perm[k]
+	}
+
+	// Allgather the factored matrix so every rank holds L and U, then
+	// invert owned columns — the Table 2 m0·n² transfer term.
+	full, err := g.allgather()
+	if err != nil {
+		return err
+	}
+	return g.invertColumns(full, perm, out)
+}
+
+// step performs elimination step k and returns the pivot row.
+func (g *grid) step(k int) (int, error) {
+	base := g.tags()
+	co := g.colOwner(k)
+	coordinator := g.rankOf(0, co)
+
+	// --- pivot search within process column co ---
+	if g.myCol == co {
+		bestV, bestI := 0.0, -1
+		for i := k; i < g.n; i++ {
+			if g.rowOwned[i] {
+				if v := math.Abs(g.local.At(i, k)); v > bestV {
+					bestV, bestI = v, i
+				}
+			}
+		}
+		if g.c.Rank() == coordinator {
+			for r := 1; r < g.pr; r++ {
+				m := g.c.Recv(g.rankOf(r, co), base+tagPivCand)
+				cand := g.c.RecvInts(g.rankOf(r, co), base+tagPivCand)
+				if m[0] > bestV {
+					bestV, bestI = m[0], cand[0]
+				}
+			}
+			if bestV < 1e-300 {
+				bestI = -1
+			}
+			// Decision goes to every rank in the world.
+			for r := 0; r < g.c.Size(); r++ {
+				if r != g.c.Rank() {
+					g.c.SendInts(r, base+tagPivDecision, []int{bestI})
+				}
+			}
+			if bestI < 0 {
+				return 0, fmt.Errorf("scalapack: zero pivot at column %d: %w", k, ErrSingular)
+			}
+			return g.finishStep(k, bestI, base)
+		}
+		g.c.Send(coordinator, base+tagPivCand, []float64{bestV})
+		g.c.SendInts(coordinator, base+tagPivCand, []int{bestI})
+	}
+	dec := g.c.RecvInts(coordinator, base+tagPivDecision)
+	if dec[0] < 0 {
+		return 0, fmt.Errorf("scalapack: zero pivot at column %d (remote): %w", k, ErrSingular)
+	}
+	return g.finishStep(k, dec[0], base)
+}
+
+// finishStep applies the row swap, computes multipliers, broadcasts the
+// panels, and updates the trailing submatrix for step k.
+func (g *grid) finishStep(k, piv, base int) (int, error) {
+	n := g.n
+	// --- row swap k <-> piv across all owned columns ---
+	if piv != k {
+		rk, rp := g.rowOwner(k), g.rowOwner(piv)
+		switch {
+		case rk == rp:
+			if g.myRow == rk {
+				for j := 0; j < n; j++ {
+					if g.colOwned[j] {
+						vk, vp := g.local.At(k, j), g.local.At(piv, j)
+						g.local.Set(k, j, vp)
+						g.local.Set(piv, j, vk)
+					}
+				}
+			}
+		case g.myRow == rk || g.myRow == rp:
+			myI, otherRow := k, rp
+			if g.myRow == rp {
+				myI, otherRow = piv, rk
+			}
+			partner := g.rankOf(otherRow, g.myCol)
+			seg := g.collectRowSegment(myI)
+			g.c.Send(partner, base+tagSwap, seg)
+			theirs := g.c.Recv(partner, base+tagSwap)
+			g.scatterRowSegment(myI, theirs)
+		}
+	}
+
+	co := g.colOwner(k)
+	rowK := g.rowOwner(k)
+
+	// --- multipliers in column k (process column co only) ---
+	if g.myCol == co {
+		var akk float64
+		holder := g.rankOf(rowK, co)
+		if g.c.Rank() == holder {
+			akk = g.local.At(k, k)
+			for r := 0; r < g.pr; r++ {
+				if dst := g.rankOf(r, co); dst != holder {
+					g.c.Send(dst, base+tagAkk, []float64{akk})
+				}
+			}
+		} else {
+			akk = g.c.Recv(holder, base+tagAkk)[0]
+		}
+		inv := 1 / akk
+		for i := k + 1; i < n; i++ {
+			if g.rowOwned[i] {
+				g.local.Set(i, k, g.local.At(i, k)*inv)
+			}
+		}
+	}
+
+	// --- broadcast l segments along process rows ---
+	// The rank in my process row that sits in column co owns exactly my
+	// rows' multipliers.
+	lsrc := g.rankOf(g.myRow, co)
+	lseg := make([]float64, 0, n-k-1)
+	if g.c.Rank() == lsrc {
+		for i := k + 1; i < n; i++ {
+			if g.rowOwned[i] {
+				lseg = append(lseg, g.local.At(i, k))
+			}
+		}
+		for pcj := 0; pcj < g.pc; pcj++ {
+			if dst := g.rankOf(g.myRow, pcj); dst != lsrc {
+				g.c.Send(dst, base+tagLseg, lseg)
 			}
 		}
 	} else {
-		buf := c.Recv(0, tagScatter)
-		for li := range mine {
-			for i := 0; i < n; i++ {
-				local.Set(i, li, buf[li*n+i])
-			}
+		lseg = g.c.Recv(lsrc, base+tagLseg)
+	}
+	lvals := make([]float64, n) // indexed by global row
+	idx := 0
+	for i := k + 1; i < n; i++ {
+		if g.rowOwned[i] {
+			lvals[i] = lseg[idx]
+			idx++
 		}
 	}
 
-	// --- PDGETRF analog: right-looking LU with partial pivoting. ---
-	pivots := make([]int, n)
-	for k := 0; k < n; k++ {
-		owner := ownerOf(k, bs, p)
-		// The panel payload: [pivot value at row k after swap, l values
-		// for rows k+1..n-1]; ints: [pivot row].
-		var panel []float64
-		var piv int
-		if c.Rank() == owner {
-			lk := globalToLocal[k]
-			piv = k
-			best := math.Abs(local.At(k, lk))
-			for i := k + 1; i < n; i++ {
-				if v := math.Abs(local.At(i, lk)); v > best {
-					best, piv = v, i
-				}
+	// --- broadcast u segments (row k) along process columns ---
+	usrc := g.rankOf(rowK, g.myCol)
+	useg := make([]float64, 0, n-k-1)
+	if g.c.Rank() == usrc {
+		for j := k + 1; j < n; j++ {
+			if g.colOwned[j] {
+				useg = append(useg, g.local.At(k, j))
 			}
-			if best < 1e-300 {
-				// Propagate failure through the panel broadcast.
-				c.BcastInts(owner, tagPivot, []int{-1})
-				return fmt.Errorf("scalapack: zero pivot at column %d: %w", k, ErrSingular)
-			}
-			c.BcastInts(owner, tagPivot, []int{piv})
-			// Swap locally before building the panel.
-			swapLocalRows(local, k, piv)
-			dk := local.At(k, lk)
-			panel = make([]float64, n-k)
-			panel[0] = dk
-			inv := 1 / dk
-			for i := k + 1; i < n; i++ {
-				l := local.At(i, lk) * inv
-				local.Set(i, lk, l)
-				panel[i-k] = l
-			}
-			panel = c.Bcast(owner, tagPanel, panel)
-		} else {
-			got := c.BcastInts(owner, tagPivot, nil)
-			piv = got[0]
-			if piv < 0 {
-				return fmt.Errorf("scalapack: zero pivot at column %d (remote): %w", k, ErrSingular)
-			}
-			swapLocalRows(local, k, piv)
-			panel = c.Bcast(owner, tagPanel, nil)
 		}
-		if c.Rank() == 0 {
-			*panels++ // every rank sees the same count; rank 0 records it
+		for pri := 0; pri < g.pr; pri++ {
+			if dst := g.rankOf(pri, g.myCol); dst != usrc {
+				g.c.Send(dst, base+tagUseg, useg)
+			}
 		}
-		pivots[k] = piv
-		// Trailing update on local columns with global index > k.
-		for li, j := range mine {
-			if j <= k {
-				continue
-			}
-			akj := local.At(k, li)
-			if akj == 0 {
-				continue
-			}
-			for i := k + 1; i < n; i++ {
-				local.Set(i, li, local.At(i, li)-panel[i-k]*akj)
-			}
+	} else {
+		useg = g.c.Recv(usrc, base+tagUseg)
+	}
+	uvals := make([]float64, n) // indexed by global col
+	idx = 0
+	for j := k + 1; j < n; j++ {
+		if g.colOwned[j] {
+			uvals[j] = useg[idx]
+			idx++
 		}
 	}
 
-	// --- Allgather the factored panels so each rank holds L and U. ---
+	// --- trailing update on owned elements ---
+	for i := k + 1; i < n; i++ {
+		if !g.rowOwned[i] || lvals[i] == 0 {
+			continue
+		}
+		li := lvals[i]
+		row := g.local.Row(i)
+		for j := k + 1; j < n; j++ {
+			if g.colOwned[j] && uvals[j] != 0 {
+				row[j] -= li * uvals[j]
+			}
+		}
+	}
+	return piv, nil
+}
+
+// collectRowSegment gathers row i's owned-column values in column order.
+func (g *grid) collectRowSegment(i int) []float64 {
+	seg := make([]float64, 0, g.n/g.pc+g.bs)
+	for j := 0; j < g.n; j++ {
+		if g.colOwned[j] {
+			seg = append(seg, g.local.At(i, j))
+		}
+	}
+	return seg
+}
+
+// scatterRowSegment writes owned-column values back into row i.
+func (g *grid) scatterRowSegment(i int, seg []float64) {
+	idx := 0
+	for j := 0; j < g.n; j++ {
+		if g.colOwned[j] {
+			g.local.Set(i, j, seg[idx])
+			idx++
+		}
+	}
+}
+
+// allgather assembles the full factored matrix on every rank.
+func (g *grid) allgather() (*matrix.Dense, error) {
+	base := g.tags()
+	n := g.n
 	full := matrix.New(n, n)
-	for li, j := range mine {
-		for i := 0; i < n; i++ {
-			full.Set(i, j, local.At(i, li))
+	// Pack my owned elements.
+	mine := make([]float64, 0, n*n/(g.pr*g.pc)+n)
+	for i := 0; i < n; i++ {
+		if !g.rowOwned[i] {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if g.colOwned[j] {
+				mine = append(mine, g.local.At(i, j))
+			}
 		}
 	}
-	// Ring exchange: every rank broadcasts its panel once.
-	for r := 0; r < p; r++ {
-		cols := localColumns(n, bs, p, r)
+	size := g.c.Size()
+	for r := 0; r < size; r++ {
 		var buf []float64
-		if c.Rank() == r {
-			buf = make([]float64, 0, n*len(cols))
-			for _, j := range cols {
-				lj := globalToLocal[j]
-				for i := 0; i < n; i++ {
-					buf = append(buf, local.At(i, lj))
+		if r == g.c.Rank() {
+			buf = mine
+			for dst := 0; dst < size; dst++ {
+				if dst != r {
+					g.c.Send(dst, base+tagGather, buf)
 				}
 			}
+		} else {
+			buf = g.c.Recv(r, base+tagGather)
 		}
-		buf = c.Bcast(r, tagGatherLU, buf)
-		if c.Rank() != r {
-			for ci, j := range cols {
-				for i := 0; i < n; i++ {
-					full.Set(i, j, buf[ci*n+i])
+		// Unpack rank r's elements.
+		rRow, rCol := r/g.pc, r%g.pc
+		idx := 0
+		for i := 0; i < n; i++ {
+			if (i/g.bs)%g.pr != rRow {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if (j/g.bs)%g.pc == rCol {
+					full.Set(i, j, buf[idx])
+					idx++
 				}
 			}
 		}
 	}
+	return full, nil
+}
 
-	// Convert the swap sequence into the compact permutation array S:
-	// applying the swaps to the identity gives p with PA = LU.
-	perm := matrix.IdentityPerm(n)
-	for k, piv := range pivots {
-		perm[k], perm[piv] = perm[piv], perm[k]
-	}
+// invertColumns computes this rank's interleaved columns of A^-1 from the
+// gathered factors and sends them to rank 0, which assembles out.
+func (g *grid) invertColumns(full *matrix.Dense, perm matrix.Perm, out *matrix.Dense) error {
+	base := g.tags()
+	n := g.n
+	size := g.c.Size()
 	pinv := perm.Inverse()
+	me := g.c.Rank()
 
-	// --- PDGETRI analog: invert owned columns from the factors. ---
-	// Column c of A^-1 = U^-1 (column pinv[c] of L^-1); both triangular
-	// passes use the gathered factors.
+	colOf := func(j int) int { return j % size }
 	lcol := make([]float64, n)
-	for _, j := range mine {
+	var mine []float64
+	var myCols []int
+	for j := 0; j < n; j++ {
+		if colOf(j) != me {
+			continue
+		}
 		k := pinv[j]
-		// Forward: column k of L^-1 (unit diagonal).
 		for i := 0; i < n; i++ {
 			lcol[i] = 0
 		}
@@ -297,7 +483,6 @@ func rankMain(c *mpi.Comm, a, out *matrix.Dense, cfg Config, panels *int) error 
 			}
 			lcol[i] = -s
 		}
-		// Backward: x = U^-1 lcol.
 		for i := n - 1; i >= 0; i-- {
 			s := lcol[i]
 			for t := i + 1; t < n; t++ {
@@ -305,69 +490,36 @@ func rankMain(c *mpi.Comm, a, out *matrix.Dense, cfg Config, panels *int) error 
 			}
 			lcol[i] = s / full.At(i, i)
 		}
-		li := globalToLocal[j]
-		for i := 0; i < n; i++ {
-			local.Set(i, li, lcol[i])
-		}
+		myCols = append(myCols, j)
+		mine = append(mine, lcol...)
 	}
 
-	// --- Gather the inverse at rank 0 ("written once"). ---
-	if c.Rank() == 0 {
-		for li, j := range mine {
-			for i := 0; i < n; i++ {
-				out.Set(i, j, local.At(i, li))
-			}
-		}
-		for r := 1; r < p; r++ {
-			cols := localColumns(n, bs, p, r)
-			if len(cols) == 0 {
-				continue
-			}
-			buf := c.Recv(r, tagGatherInv)
+	if me == 0 {
+		place := func(cols []int, data []float64) {
 			for ci, j := range cols {
 				for i := 0; i < n; i++ {
-					out.Set(i, j, buf[ci*n+i])
+					out.Set(i, j, data[ci*n+i])
 				}
 			}
 		}
-	} else if len(mine) > 0 {
-		buf := make([]float64, 0, n*len(mine))
-		for li := range mine {
-			for i := 0; i < n; i++ {
-				buf = append(buf, local.At(i, li))
+		place(myCols, mine)
+		for r := 1; r < size; r++ {
+			var cols []int
+			for j := 0; j < n; j++ {
+				if colOf(j) == r {
+					cols = append(cols, j)
+				}
 			}
+			if len(cols) == 0 {
+				continue
+			}
+			data := g.c.Recv(r, base+tagResult)
+			place(cols, data)
 		}
-		c.Send(0, tagGatherInv, buf)
+		return nil
+	}
+	if len(myCols) > 0 {
+		g.c.Send(0, base+tagResult, mine)
 	}
 	return nil
-}
-
-func swapLocalRows(m *matrix.Dense, i, j int) {
-	if i == j {
-		return
-	}
-	ri, rj := m.Row(i), m.Row(j)
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// Decompose runs only the factorization and returns P, L, U with PA = LU,
-// assembled at the caller. It exists for tests and for the Table 1
-// transfer-volume measurements.
-func Decompose(a *matrix.Dense, cfg Config) (matrix.Perm, *matrix.Dense, *matrix.Dense, *Stats, error) {
-	// Reuse the single-node reference for the factor values; communication
-	// statistics come from a real distributed run of Invert. For the
-	// factorization-only path we run the distributed code and rebuild the
-	// factors from the inverse relation instead of duplicating rankMain;
-	// simpler and exact: factor with the single-node kernel.
-	f, err := lu.Decompose(a)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("scalapack: %w", err)
-	}
-	_, st, err := Invert(a, cfg)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return f.P, f.L(), f.U(), st, nil
 }

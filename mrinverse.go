@@ -11,7 +11,8 @@
 //   - InvertLocal: the single-node Algorithm 1 reference (LU with partial
 //     pivoting, Equation 4 triangular inversion);
 //   - InvertScaLAPACK: the paper's comparison baseline, a block-cyclic
-//     message-passing implementation in the ScaLAPACK style;
+//     message-passing implementation in the ScaLAPACK style on the
+//     paper's f1 x f2 process grid;
 //   - InvertSpark (auto.go): the paper's Section 8 future work, the same
 //     algorithm on an in-memory lineage-tracked engine;
 //   - AutoInvert (auto.go): Section 8's adaptive technique selection.
@@ -168,10 +169,18 @@ func Decompose(a *Matrix, opts Options) (Perm, *Matrix, *Matrix, error) {
 
 // InvertLocal computes A^-1 on a single node with Algorithm 1 (LU with
 // partial pivoting) and Equation 4 triangular inversion.
-func InvertLocal(a *Matrix) (*Matrix, error) { return lu.Invert(a) }
+func InvertLocal(a *Matrix) (*Matrix, error) {
+	if err := core.ValidateInput(a); err != nil {
+		return nil, err
+	}
+	return lu.Invert(a)
+}
 
 // InvertScaLAPACK computes A^-1 with the distributed-memory MPI baseline.
 func InvertScaLAPACK(a *Matrix, cfg ScaLAPACKConfig) (*Matrix, *ScaLAPACKStats, error) {
+	if err := core.ValidateInput(a); err != nil {
+		return nil, nil, err
+	}
 	return scalapack.Invert(a, cfg)
 }
 

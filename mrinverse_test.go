@@ -1,6 +1,7 @@
 package mrinverse
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -118,6 +119,50 @@ func TestSolveDirectAndMultiply(t *testing.T) {
 	for i := range x.Data {
 		if d := got.Data[i] - x.Data[i]; d > 1e-8 || d < -1e-8 {
 			t.Fatalf("round-trip Multiply+SolveDirect differs at %d by %g", i, d)
+		}
+	}
+}
+
+// TestInvertersValidateInput checks that every inverter of the facade
+// rejects nil, rectangular and empty inputs with the typed sentinels
+// instead of panicking or answering.
+func TestInvertersValidateInput(t *testing.T) {
+	inverters := map[string]func(*Matrix) error{
+		"Invert": func(a *Matrix) error {
+			_, _, err := Invert(a, DefaultOptions(2))
+			return err
+		},
+		"InvertLocal": func(a *Matrix) error {
+			_, err := InvertLocal(a)
+			return err
+		},
+		"InvertScaLAPACK": func(a *Matrix) error {
+			_, _, err := InvertScaLAPACK(a, ScaLAPACKConfig{Procs: 2})
+			return err
+		},
+		"InvertSpark": func(a *Matrix) error {
+			_, err := InvertSpark(a, 2, 2)
+			return err
+		},
+		"AutoInvert": func(a *Matrix) error {
+			_, _, err := AutoInvert(a, ClusterSpec{Nodes: 2}, 0)
+			return err
+		},
+	}
+	inputs := []struct {
+		name string
+		a    *Matrix
+		want error
+	}{
+		{"nil", nil, ErrNilMatrix},
+		{"3x2", NewMatrix(3, 2), ErrNotSquare},
+		{"0x0", NewMatrix(0, 0), ErrEmptyMatrix},
+	}
+	for name, invert := range inverters {
+		for _, in := range inputs {
+			if err := invert(in.a); !errors.Is(err, in.want) {
+				t.Errorf("%s(%s): err = %v, want %v", name, in.name, err, in.want)
+			}
 		}
 	}
 }
