@@ -18,7 +18,6 @@ import (
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
-	"repro/internal/qr"
 	"repro/internal/scalapack"
 	"repro/internal/workload"
 )
@@ -309,13 +308,6 @@ func BenchmarkKernelInverters(b *testing.B) {
 	b.Run("lu", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := lu.Invert(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("qr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qr.Invert(a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -62,7 +62,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(*exp, *measure, *n, *nb)
+		emitJSON(*exp)
 		return
 	}
 
@@ -200,14 +200,15 @@ func failureRecovery(k, n, nb int, jsonOut bool) {
 // emitJSON writes one JSON object per experiment id to stdout — the
 // machine-readable twin of the text reports, built from the cost model's
 // structured series (and real runs for the execution-backed experiments).
-func emitJSON(exp string, measure bool, n, nb int) {
+// JSON payloads use the fixed paper-scale configs, not -measure/-n/-nb.
+func emitJSON(exp string) {
 	ids := []string{exp}
 	if exp == "all" {
 		ids = allExperiments
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, id := range ids {
-		payload, err := jsonPayload(id, measure, n, nb)
+		payload, err := jsonPayload(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -218,8 +219,7 @@ func emitJSON(exp string, measure bool, n, nb int) {
 	}
 }
 
-func jsonPayload(id string, measure bool, n, nb int) (any, error) {
-	_, _, _ = measure, n, nb // JSON payloads use the fixed paper-scale configs
+func jsonPayload(id string) (any, error) {
 	switch id {
 	case "table1":
 		return costmodel.Table1Rows(20480, 64), nil
@@ -236,73 +236,13 @@ func jsonPayload(id string, measure bool, n, nb int) (any, error) {
 	case "sec74":
 		return costmodel.Sec74(), nil
 	case "acc":
-		type accRow struct {
-			N        int     `json:"n"`
-			Residual float64 `json:"residual"`
-			Pass     bool    `json:"pass"`
-		}
-		var rows []accRow
-		for _, order := range []int{64, 128, 256} {
-			a := mrinverse.Random(order, int64(order))
-			opts := mrinverse.DefaultOptions(4)
-			opts.NB = maxInt(16, order/8)
-			inv, _, err := mrinverse.Invert(a, opts)
-			if err != nil {
-				return nil, fmt.Errorf("acc n=%d: %w", order, err)
-			}
-			res := mrinverse.Residual(a, inv)
-			rows = append(rows, accRow{N: order, Residual: res, Pass: res <= 1e-5})
-		}
-		return rows, nil
+		return accRows()
 	case "nb":
-		type nbRow struct {
-			NB              int     `json:"nb"`
-			PipelineSeconds float64 `json:"pipeline_seconds"`
-			Jobs            int     `json:"jobs"`
-		}
-		c := costmodel.NewCluster(costmodel.Medium, 64)
-		order := 102400
-		var rows []nbRow
-		for cand := 400; cand <= 25600; cand *= 2 {
-			t := costmodel.OursTime(c, order, cand, costmodel.AllOpts)
-			rows = append(rows, nbRow{NB: cand, PipelineSeconds: t.Seconds(), Jobs: mrinverse.PipelineJobs(order, cand)})
-		}
-		return map[string]any{"rows": rows, "optimal_nb": costmodel.OptimalNB(c, order)}, nil
+		return nbTable(), nil
 	case "engines":
-		type engRow struct {
-			Order  int    `json:"order"`
-			Engine string `json:"engine"`
-			Reason string `json:"reason"`
-		}
-		var rows []engRow
-		c := costmodel.NewCluster(costmodel.Medium, 64)
-		for _, order := range []int{800, 20480, 102400} {
-			choice := costmodel.ChooseEngine(c, order, workload.PaperNB)
-			rows = append(rows, engRow{Order: order, Engine: string(choice.Engine), Reason: choice.Reason})
-		}
-		return rows, nil
+		return engineRows(), nil
 	case "spark":
-		a := mrinverse.Random(256, seedBase+5)
-		start := time.Now()
-		sparkInv, err := mrinverse.InvertSpark(a, 4, 64)
-		if err != nil {
-			return nil, err
-		}
-		sparkSec := time.Since(start).Seconds()
-		opts := mrinverse.DefaultOptions(4)
-		opts.NB = 64
-		start = time.Now()
-		_, rep, err := mrinverse.Invert(a, opts)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{
-			"n":                    256,
-			"spark_seconds":        sparkSec,
-			"mapreduce_seconds":    time.Since(start).Seconds(),
-			"mapreduce_bytes_read": rep.FS.BytesRead,
-			"spark_residual":       mrinverse.Residual(a, sparkInv),
-		}, nil
+		return sparkRun()
 	case "multiround":
 		rows, err := multiRoundRows(256, 16)
 		if err != nil {
@@ -385,8 +325,7 @@ func incrRows(n, nodes int) ([]incrRow, error) {
 	return rows, nil
 }
 
-func incrExp(measure bool, n, nb int) {
-	_ = measure
+func incrExp(bool, int, int) {
 	header("Incremental inversion: measured SMW update vs full pipeline (n=256, 8 nodes)")
 	rows, err := incrRows(256, 8)
 	if err != nil {
@@ -625,26 +564,43 @@ func sec74(measure bool, n, nb int) {
 		rep.JobsRun, rep.TaskFailures, mrinverse.Residual(a, inv))
 }
 
-func acc(measure bool, n, nb int) {
-	header("Section 7.2: numerical accuracy (real runs, this machine)")
+// accRow is one Section 7.2 accuracy check: a real pipeline inversion of
+// a seeded order-n matrix and its identity residual.
+type accRow struct {
+	N        int     `json:"n"`
+	Residual float64 `json:"residual"`
+	Pass     bool    `json:"pass"`
+}
+
+func accRows() ([]accRow, error) {
+	var rows []accRow
 	for _, order := range []int{64, 128, 256} {
 		a := mrinverse.Random(order, int64(order))
 		opts := mrinverse.DefaultOptions(4)
 		opts.NB = maxInt(16, order/8)
 		inv, _, err := mrinverse.Invert(a, opts)
 		if err != nil {
-			log.Fatalf("n=%d: %v", order, err)
+			return nil, fmt.Errorf("acc n=%d: %w", order, err)
 		}
 		res := mrinverse.Residual(a, inv)
+		rows = append(rows, accRow{N: order, Residual: res, Pass: res <= 1e-5})
+	}
+	return rows, nil
+}
+
+func acc(bool, int, int) {
+	header("Section 7.2: numerical accuracy (real runs, this machine)")
+	rows, err := accRows()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range rows {
 		status := "PASS"
-		if res > 1e-5 {
+		if !r.Pass {
 			status = "FAIL"
 		}
-		fmt.Printf("n=%4d  max|I-MM⁻¹| = %-10.3g (< 1e-5: %s)\n", order, res, status)
+		fmt.Printf("n=%4d  max|I-MM⁻¹| = %-10.3g (< 1e-5: %s)\n", r.N, r.Residual, status)
 	}
-	_ = measure
-	_ = nb
-	_ = workload.PaperNB
 }
 
 func maxInt(a, b int) int {
@@ -654,34 +610,77 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func nbTune(measure bool, n, nb int) {
-	header("Section 5: bound-value (nb) tuning on the paper's cluster (model)")
+// nbRow is one bound value of the Section 5 tuning sweep on the paper's
+// cluster (model): the pipeline time, its leaf time and its job count.
+type nbRow struct {
+	NB              int     `json:"nb"`
+	PipelineSeconds float64 `json:"pipeline_seconds"`
+	Jobs            int     `json:"jobs"`
+	pipeline, leaf  time.Duration
+}
+
+// nbSweep is the tuning sweep and the model's optimal bound value.
+type nbSweep struct {
+	OptimalNB int     `json:"optimal_nb"`
+	Rows      []nbRow `json:"rows"`
+}
+
+// nbOrder is the sweep's matrix order (the paper's M4).
+const nbOrder = 102400
+
+func nbTable() nbSweep {
 	c := costmodel.NewCluster(costmodel.Medium, 64)
-	order := 102400
-	fmt.Printf("%-8s %-12s %-12s %s\n", "nb", "pipeline", "leaf time", "jobs")
+	var rows []nbRow
 	for cand := 400; cand <= 25600; cand *= 2 {
-		t := costmodel.OursTime(c, order, cand, costmodel.AllOpts)
-		fmt.Printf("%-8d %-12s %-12s %d\n", cand,
-			costmodel.FormatDuration(t), costmodel.FormatDuration(costmodel.LeafTime(costmodel.Medium, cand)),
-			mrinverse.PipelineJobs(order, cand))
+		t := costmodel.OursTime(c, nbOrder, cand, costmodel.AllOpts)
+		rows = append(rows, nbRow{
+			NB: cand, PipelineSeconds: t.Seconds(), Jobs: mrinverse.PipelineJobs(nbOrder, cand),
+			pipeline: t, leaf: costmodel.LeafTime(costmodel.Medium, cand),
+		})
 	}
-	fmt.Printf("optimal nb = %d (paper used %d)\n", costmodel.OptimalNB(c, order), workload.PaperNB)
+	return nbSweep{OptimalNB: costmodel.OptimalNB(c, nbOrder), Rows: rows}
+}
+
+func nbTune(bool, int, int) {
+	header("Section 5: bound-value (nb) tuning on the paper's cluster (model)")
+	sweep := nbTable()
+	fmt.Printf("%-8s %-12s %-12s %s\n", "nb", "pipeline", "leaf time", "jobs")
+	for _, r := range sweep.Rows {
+		fmt.Printf("%-8d %-12s %-12s %d\n", r.NB,
+			costmodel.FormatDuration(r.pipeline), costmodel.FormatDuration(r.leaf), r.Jobs)
+	}
+	fmt.Printf("optimal nb = %d (paper used %d)\n", sweep.OptimalNB, workload.PaperNB)
 	fmt.Println("--- sensitivity to job-launch latency (Section 7.2's faster-launching claim) ---")
 	for _, launch := range []time.Duration{60 * time.Second, 30 * time.Second, 5 * time.Second, time.Second} {
 		cl := costmodel.Cluster{Node: costmodel.Medium, Nodes: 64, JobLaunch: launch}
-		opt := costmodel.OptimalNB(cl, order)
+		opt := costmodel.OptimalNB(cl, nbOrder)
 		fmt.Printf("launch %-4s -> optimal nb %-6d pipeline %s\n",
-			launch, opt, costmodel.FormatDuration(costmodel.OursTime(cl, order, opt, costmodel.AllOpts)))
+			launch, opt, costmodel.FormatDuration(costmodel.OursTime(cl, nbOrder, opt, costmodel.AllOpts)))
 	}
-	_ = measure
+}
+
+// engineRow is the Section 8 engine chooser's pick for one order on the
+// paper's cluster.
+type engineRow struct {
+	Order  int    `json:"order"`
+	Engine string `json:"engine"`
+	Reason string `json:"reason"`
+}
+
+func engineRows() []engineRow {
+	c := costmodel.NewCluster(costmodel.Medium, 64)
+	var rows []engineRow
+	for _, order := range []int{800, 20480, 102400} {
+		choice := costmodel.ChooseEngine(c, order, workload.PaperNB)
+		rows = append(rows, engineRow{Order: order, Engine: string(choice.Engine), Reason: choice.Reason})
+	}
+	return rows
 }
 
 func engines(measure bool, n, nb int) {
 	header("Section 8: adaptive engine selection (model + execution)")
-	for _, order := range []int{800, 20480, 102400} {
-		c := costmodel.NewCluster(costmodel.Medium, 64)
-		choice := costmodel.ChooseEngine(c, order, workload.PaperNB)
-		fmt.Printf("n=%-7d -> %-10s %s\n", order, choice.Engine, choice.Reason)
+	for _, r := range engineRows() {
+		fmt.Printf("n=%-7d -> %-10s %s\n", r.Order, r.Engine, r.Reason)
 	}
 	if !measure {
 		return
@@ -695,27 +694,52 @@ func engines(measure bool, n, nb int) {
 		choice.Engine, n, mrinverse.Residual(a, inv))
 }
 
-func sparkExp(measure bool, n, nb int) {
-	header("Section 8: Spark-style in-memory engine (real run, this machine)")
-	a := mrinverse.Random(256, seedBase+5)
+// sparkResult is one real n=256 inversion by the Spark-style engine and
+// by the MapReduce pipeline. Fields are declared in key order, so the
+// JSON keys come out sorted, as they do for the map-shaped payloads.
+type sparkResult struct {
+	MapReduceBytesRead int64   `json:"mapreduce_bytes_read"`
+	MapReduceSeconds   float64 `json:"mapreduce_seconds"`
+	N                  int     `json:"n"`
+	SparkResidual      float64 `json:"spark_residual"`
+	SparkSeconds       float64 `json:"spark_seconds"`
+}
+
+func sparkRun() (sparkResult, error) {
+	const n = 256
+	a := mrinverse.Random(n, seedBase+5)
 	start := time.Now()
 	sparkInv, err := mrinverse.InvertSpark(a, 4, 64)
 	if err != nil {
-		log.Fatal(err)
+		return sparkResult{}, err
 	}
-	sparkTime := time.Since(start)
+	sparkSec := time.Since(start).Seconds()
 	opts := mrinverse.DefaultOptions(4)
 	opts.NB = 64
 	start = time.Now()
 	_, rep, err := mrinverse.Invert(a, opts)
 	if err != nil {
+		return sparkResult{}, err
+	}
+	return sparkResult{
+		MapReduceBytesRead: rep.FS.BytesRead,
+		MapReduceSeconds:   time.Since(start).Seconds(),
+		N:                  n,
+		SparkResidual:      mrinverse.Residual(a, sparkInv),
+		SparkSeconds:       sparkSec,
+	}, nil
+}
+
+func sparkExp(bool, int, int) {
+	header("Section 8: Spark-style in-memory engine (real run, this machine)")
+	r, err := sparkRun()
+	if err != nil {
 		log.Fatal(err)
 	}
-	mrTime := time.Since(start)
-	fmt.Printf("n=256: spark %-12v (no DFS traffic)   mapreduce %-12v (%d HDFS bytes read)\n",
-		sparkTime.Round(time.Millisecond), mrTime.Round(time.Millisecond), rep.FS.BytesRead)
-	fmt.Printf("spark residual %.2g\n", mrinverse.Residual(a, sparkInv))
-	_ = measure
-	_ = n
-	_ = nb
+	ms := func(sec float64) time.Duration {
+		return time.Duration(sec * float64(time.Second)).Round(time.Millisecond)
+	}
+	fmt.Printf("n=%d: spark %-12v (no DFS traffic)   mapreduce %-12v (%d HDFS bytes read)\n",
+		r.N, ms(r.SparkSeconds), ms(r.MapReduceSeconds), r.MapReduceBytesRead)
+	fmt.Printf("spark residual %.2g\n", r.SparkResidual)
 }

@@ -68,13 +68,6 @@ type ExperimentResult struct {
 // enough not to dominate a smoke run.
 const DefaultSlowDelay = 60 * time.Millisecond
 
-// Horizon estimates the logical-clock span of one inversion: each of the
-// pipeline's jobs contributes about Nodes attempt ticks per phase plus
-// fetch ticks; targeting jobs*nodes lands scheduled faults mid-pipeline.
-func Horizon(n, nb, nodes int) int64 {
-	return int64(core.PipelineJobs(n, nb)) * int64(nodes)
-}
-
 // RunExperiment replays the paper's Section 7.4 failure-recovery
 // experiment: a fault-free baseline inversion, then the same inversion
 // under a seeded fault schedule (node kills, optional restarts, one
@@ -99,10 +92,13 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		return nil, fmt.Errorf("chaos: baseline run: %w", err)
 	}
 
+	// The horizon is the logical-clock span of one inversion: each of the
+	// pipeline's jobs contributes about Nodes attempt ticks per phase plus
+	// fetch ticks, so jobs*nodes lands scheduled faults mid-pipeline.
 	plan := RandomPlan(cfg.Seed, PlanConfig{
 		Nodes:          opts.Nodes,
 		Kills:          cfg.Kill,
-		Horizon:        Horizon(cfg.N, cfg.NB, opts.Nodes),
+		Horizon:        int64(core.PipelineJobs(cfg.N, cfg.NB)) * int64(opts.Nodes),
 		Restart:        cfg.Restart,
 		SlowDelay:      cfg.SlowDelay,
 		FetchFailEvery: cfg.FetchFailEvery,

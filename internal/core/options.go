@@ -176,20 +176,20 @@ func Depth(n, nb int) int {
 	return d
 }
 
-// LUJobs returns the number of MapReduce jobs in the LU phase for a
+// luJobs returns the number of MapReduce jobs in the LU phase for a
 // *uniform* recursion of depth d: each internal node contributes one job
 // (computing L2', U2, and B), giving 2^d - 1. This is the paper's
-// "2^ceil(log2 n/nb)" estimate; LUJobCount gives the exact value when
+// "2^ceil(log2 n/nb)" estimate; luJobCount gives the exact value when
 // rounding makes the tree asymmetric.
-func LUJobs(d int) int {
+func luJobs(d int) int {
 	return (1 << uint(d)) - 1
 }
 
-// LUJobCount returns the exact number of LU-phase jobs for an order-n
+// luJobCount returns the exact number of LU-phase jobs for an order-n
 // matrix: the recursion splits into A1 of order ceil(n/2) and B of order
 // floor(n/2), whose depths can differ by one when n is not a power of two
 // times nb (the paper's "modulo rounding" caveat, Section 4.2).
-func LUJobCount(n, nb int) int {
+func luJobCount(n, nb int) int {
 	if nb < 1 {
 		nb = 1
 	}
@@ -197,7 +197,7 @@ func LUJobCount(n, nb int) int {
 		return 0
 	}
 	h := splitPoint(n)
-	return 1 + LUJobCount(h, nb) + LUJobCount(n-h, nb)
+	return 1 + luJobCount(h, nb) + luJobCount(n-h, nb)
 }
 
 // PipelineJobs returns the total number of MapReduce jobs to invert an
@@ -206,14 +206,14 @@ func LUJobCount(n, nb int) int {
 // this reproduces the "Number of Jobs" column of Table 3
 // (M1: 9, M2: 17, M3: 17, M4: 33, M5: 9).
 func PipelineJobs(n, nb int) int {
-	return 1 + LUJobCount(n, nb) + 1
+	return 1 + luJobCount(n, nb) + 1
 }
 
-// SeparateFileCount returns N(d), the number of files storing one
+// separateFileCount returns N(d), the number of files storing one
 // triangular factor under the Section 6.1 optimization:
 // N(d) = 2^d + (m0/2)(2^d - 1). Leaves contribute one file each (2^d of
 // them); every internal node contributes m0/2 band files for L2' (or U2).
-func SeparateFileCount(d, m0 int) int {
+func separateFileCount(d, m0 int) int {
 	p := 1 << uint(d)
 	return p + m0/2*(p-1)
 }
@@ -233,16 +233,16 @@ func FactorPair(m0 int) (f1, f2 int) {
 	return m0 / f2, f2
 }
 
-// NaiveReadVolume returns the total bytes-equivalent element reads of the
+// naiveReadVolume returns the total bytes-equivalent element reads of the
 // naive multiplication layout on m0 nodes for an n x n product:
 // (m0 + 1) n^2 elements (Section 6.2).
-func NaiveReadVolume(n, m0 int) int64 {
+func naiveReadVolume(n, m0 int) int64 {
 	return int64(m0+1) * int64(n) * int64(n)
 }
 
-// BlockWrapReadVolume returns the element reads of the block-wrap layout:
+// blockWrapReadVolume returns the element reads of the block-wrap layout:
 // (f1 + f2) n^2 (Section 6.2).
-func BlockWrapReadVolume(n, m0 int) int64 {
+func blockWrapReadVolume(n, m0 int) int64 {
 	f1, f2 := FactorPair(m0)
 	return int64(f1+f2) * int64(n) * int64(n)
 }

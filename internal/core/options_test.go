@@ -40,8 +40,8 @@ func TestPipelineJobsMatchesTable3(t *testing.T) {
 
 func TestLUJobs(t *testing.T) {
 	for d, want := range []int{0, 1, 3, 7, 15, 31} {
-		if got := LUJobs(d); got != want {
-			t.Errorf("LUJobs(%d) = %d, want %d", d, got, want)
+		if got := luJobs(d); got != want {
+			t.Errorf("luJobs(%d) = %d, want %d", d, got, want)
 		}
 	}
 }
@@ -49,25 +49,25 @@ func TestLUJobs(t *testing.T) {
 func TestLUJobCountAsymmetricTrees(t *testing.T) {
 	// n = 51, nb = 25: A1 has order 26 (one more level), B has order 25
 	// (leaf). Exact count is 2 jobs, not the uniform-depth 2^2 - 1 = 3.
-	if got := LUJobCount(51, 25); got != 2 {
-		t.Fatalf("LUJobCount(51, 25) = %d, want 2", got)
+	if got := luJobCount(51, 25); got != 2 {
+		t.Fatalf("luJobCount(51, 25) = %d, want 2", got)
 	}
 	// Symmetric power-of-two case agrees with the closed form.
-	if got := LUJobCount(64, 8); got != LUJobs(Depth(64, 8)) {
-		t.Fatalf("LUJobCount(64, 8) = %d, want %d", got, LUJobs(Depth(64, 8)))
+	if got := luJobCount(64, 8); got != luJobs(Depth(64, 8)) {
+		t.Fatalf("luJobCount(64, 8) = %d, want %d", got, luJobs(Depth(64, 8)))
 	}
-	if got := LUJobCount(16, 32); got != 0 {
-		t.Fatalf("LUJobCount(16, 32) = %d", got)
+	if got := luJobCount(16, 32); got != 0 {
+		t.Fatalf("luJobCount(16, 32) = %d", got)
 	}
 }
 
 func TestSeparateFileCount(t *testing.T) {
 	// Paper example (Section 6.1): n = 2^15, nb = 2048, m0 = 64 gives
 	// d = 4 and N(d) = 496.
-	if got := SeparateFileCount(4, 64); got != 496 {
+	if got := separateFileCount(4, 64); got != 496 {
 		t.Fatalf("N(4, 64) = %d, want 496", got)
 	}
-	if got := SeparateFileCount(0, 64); got != 1 {
+	if got := separateFileCount(0, 64); got != 1 {
 		t.Fatalf("N(0) = %d, want 1", got)
 	}
 }
@@ -99,13 +99,13 @@ func TestFactorPair(t *testing.T) {
 func TestBlockWrapReadVolume(t *testing.T) {
 	// Paper's 64-node example: naive 65 n^2, block wrap 16 n^2.
 	n := 1000
-	if got := NaiveReadVolume(n, 64); got != 65_000_000 {
+	if got := naiveReadVolume(n, 64); got != 65_000_000 {
 		t.Fatalf("naive = %d", got)
 	}
-	if got := BlockWrapReadVolume(n, 64); got != 16_000_000 {
+	if got := blockWrapReadVolume(n, 64); got != 16_000_000 {
 		t.Fatalf("block wrap = %d", got)
 	}
-	if BlockWrapReadVolume(n, 64) >= NaiveReadVolume(n, 64) {
+	if blockWrapReadVolume(n, 64) >= naiveReadVolume(n, 64) {
 		t.Fatal("block wrap must read less than naive")
 	}
 }

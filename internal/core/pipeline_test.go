@@ -209,7 +209,7 @@ func TestSeparateFileCountMatchesFormula(t *testing.T) {
 		opts := DefaultOptions(c.nodes)
 		opts.NB = c.nb
 		_, rep := invertOnce(t, c.n, opts, int64(c.n+c.nodes))
-		want := SeparateFileCount(Depth(c.n, c.nb), opts.Nodes)
+		want := separateFileCount(Depth(c.n, c.nb), opts.Nodes)
 		if rep.LFactorFiles != want {
 			t.Errorf("n=%d nb=%d m0=%d: %d factor files, want N(d)=%d", c.n, c.nb, c.nodes, rep.LFactorFiles, want)
 		}
@@ -224,8 +224,8 @@ func TestCombinedFilesWhenOptimizationOff(t *testing.T) {
 	if rep.LFactorFiles != 1 {
 		t.Fatalf("combined run has %d factor files, want 1", rep.LFactorFiles)
 	}
-	if rep.MasterCombines != LUJobs(Depth(64, 16)) {
-		t.Fatalf("MasterCombines = %d, want %d", rep.MasterCombines, LUJobs(Depth(64, 16)))
+	if rep.MasterCombines != luJobs(Depth(64, 16)) {
+		t.Fatalf("MasterCombines = %d, want %d", rep.MasterCombines, luJobs(Depth(64, 16)))
 	}
 }
 

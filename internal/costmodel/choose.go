@@ -26,9 +26,9 @@ type Choice struct {
 	Predicted map[Engine]time.Duration
 }
 
-// SingleNodeTime estimates inverting an order-n matrix on one node with
+// singleNodeTime estimates inverting an order-n matrix on one node with
 // the optimized local kernel (no distribution overheads, bounded by RAM).
-func SingleNodeTime(node NodeSpec, n int) (time.Duration, bool) {
+func singleNodeTime(node NodeSpec, n int) (time.Duration, bool) {
 	mem := 3 * float64(n) * float64(n) * bytesPerElem // A, LU, inverse
 	if mem > node.RAM {
 		return 0, false
@@ -42,12 +42,12 @@ func SingleNodeTime(node NodeSpec, n int) (time.Duration, bool) {
 func ChooseEngine(c Cluster, n, nb int) Choice {
 	pred := map[Engine]time.Duration{}
 
-	if t, ok := SingleNodeTime(c.Node, n); ok {
+	if t, ok := singleNodeTime(c.Node, n); ok {
 		pred[EngineLocal] = t
 	}
 	pred[EngineMapReduce] = OursTime(c, n, nb, AllOpts)
-	if ScaLAPACKFeasible(c, n) {
-		pred[EngineScaLAPACK] = ScaLAPACKTime(c, n)
+	if scalapackFeasible(c, n) {
+		pred[EngineScaLAPACK] = scalapackTime(c, n)
 	}
 
 	best := EngineMapReduce
@@ -62,7 +62,7 @@ func ChooseEngine(c Cluster, n, nb int) Choice {
 		reason = "matrix fits one node and avoids all distribution overhead; " + reason
 	case best == EngineScaLAPACK:
 		reason = "in-memory MPI baseline is fastest at this scale; " + reason
-	case !ScaLAPACKFeasible(c, n):
+	case !scalapackFeasible(c, n):
 		reason = "ScaLAPACK working set exceeds node RAM; MapReduce pipeline streams through HDFS; " + reason
 	default:
 		reason = "MapReduce pipeline wins on aggregate I/O and scheduling at this scale; " + reason

@@ -59,10 +59,10 @@ func TestChooseEnginePredictionsOrdered(t *testing.T) {
 }
 
 func TestSingleNodeTime(t *testing.T) {
-	if _, ok := SingleNodeTime(Medium, 102400); ok {
+	if _, ok := singleNodeTime(Medium, 102400); ok {
 		t.Fatal("80 GB matrix fits 3.7 GB node?")
 	}
-	d, ok := SingleNodeTime(Medium, 4000)
+	d, ok := singleNodeTime(Medium, 4000)
 	if !ok {
 		t.Fatal("4000^2 should fit")
 	}

@@ -98,8 +98,8 @@ func OursLU(n, m0 int) Complexity {
 	}
 }
 
-// ScaLAPACKLU returns Table 1's second row.
-func ScaLAPACKLU(n, m0 int) Complexity {
+// scalapackLU returns Table 1's second row.
+func scalapackLU(n, m0 int) Complexity {
 	n2 := float64(n) * float64(n)
 	n3 := n2 * float64(n)
 	return Complexity{
@@ -111,9 +111,9 @@ func ScaLAPACKLU(n, m0 int) Complexity {
 	}
 }
 
-// OursInversion returns Table 2's first row: triangular inversion plus the
+// oursInversion returns Table 2's first row: triangular inversion plus the
 // final multiplication. l = (m0 + f1 + f2)/2.
-func OursInversion(n, m0 int) Complexity {
+func oursInversion(n, m0 int) Complexity {
 	f1, f2 := core.FactorPair(m0)
 	l := float64(m0+f1+f2) / 2
 	n2 := float64(n) * float64(n)
@@ -127,8 +127,8 @@ func OursInversion(n, m0 int) Complexity {
 	}
 }
 
-// ScaLAPACKInversion returns Table 2's second row.
-func ScaLAPACKInversion(n, m0 int) Complexity {
+// scalapackInversion returns Table 2's second row.
+func scalapackInversion(n, m0 int) Complexity {
 	n2 := float64(n) * float64(n)
 	n3 := n2 * float64(n)
 	return Complexity{
@@ -174,7 +174,7 @@ const transposePenalty = 2.5
 func OursTime(c Cluster, n, nb int, opts OptFlags) time.Duration {
 	m0 := c.Nodes
 	lu := OursLU(n, m0)
-	inv := OursInversion(n, m0)
+	inv := oursInversion(n, m0)
 	if !opts.BlockWrap {
 		// Naive layout: every multiplication reads (m0+1) n^2 elements
 		// instead of (f1+f2) n^2 or 2(f1+f2)... — substitute the block
@@ -218,13 +218,13 @@ func OursTime(c Cluster, n, nb int, opts OptFlags) time.Duration {
 	return secs(computeS + ioS + netS + masterS + combineS + launchS)
 }
 
-// OursWorkerMemory returns the peak bytes a triangular-inversion worker
+// oursWorkerMemory returns the peak bytes a triangular-inversion worker
 // holds for an order-n inversion on m0 nodes. Without streaming the
 // worker assembles a full factor (n^2 elements); with streaming
 // (core.Options.StreamingInversion) it holds one row band of height
 // n/(2 m0) plus its n^2/(m0/2) output columns — how the paper's 42 GB
 // factors pass through 3.7 GB workers.
-func OursWorkerMemory(n, m0 int, streaming bool) float64 {
+func oursWorkerMemory(n, m0 int, streaming bool) float64 {
 	n2 := float64(n) * float64(n)
 	outputCols := n2 / float64(m0/2) * bytesPerElem
 	if !streaming {
@@ -234,15 +234,15 @@ func OursWorkerMemory(n, m0 int, streaming bool) float64 {
 	return band + outputCols
 }
 
-// SparkTime estimates the Section 8 port: the same pipeline with all
+// sparkTime estimates the Section 8 port: the same pipeline with all
 // intermediates held in memory, so the disk component shrinks to the
 // one-time input read and final output write (n^2 each) and the network
 // component to the shuffle-like band exchanges; job-launch overhead is
 // also far smaller on a resident Spark context (no JVM spin-up per job).
-func SparkTime(c Cluster, n, nb int) time.Duration {
+func sparkTime(c Cluster, n, nb int) time.Duration {
 	m0 := c.Nodes
 	lu := OursLU(n, m0)
-	inv := OursInversion(n, m0)
+	inv := oursInversion(n, m0)
 	total := lu.add(inv)
 
 	workers := float64(m0 * c.Node.Cores)
@@ -278,25 +278,25 @@ const (
 	scalSwapPenalty    = 4.0
 )
 
-// ScaLAPACKWorkingSet returns the per-node bytes the in-memory baseline
+// scalapackWorkingSet returns the per-node bytes the in-memory baseline
 // needs for an order-n inversion on m0 nodes: roughly three n^2/m0 panels
 // (input, factors, result/workspace). The paper keeps "all intermediate
 // data ... in memory".
-func ScaLAPACKWorkingSet(n, m0 int) float64 {
+func scalapackWorkingSet(n, m0 int) float64 {
 	return scalWorkingSetCopy * float64(n) * float64(n) * bytesPerElem / float64(m0)
 }
 
-// ScaLAPACKFeasible reports whether the working set fits in node RAM. The
+// scalapackFeasible reports whether the working set fits in node RAM. The
 // Figure 8 curves only exist where this holds; the Section 7.4 64-medium
 // run of M4 is just past the boundary, which is the ">48 hours" result.
-func ScaLAPACKFeasible(c Cluster, n int) bool {
-	return ScaLAPACKWorkingSet(n, c.Nodes) <= c.Node.RAM
+func scalapackFeasible(c Cluster, n int) bool {
+	return scalapackWorkingSet(n, c.Nodes) <= c.Node.RAM
 }
 
-// ScaLAPACKTime estimates inversion time for the MPI baseline.
-func ScaLAPACKTime(c Cluster, n int) time.Duration {
+// scalapackTime estimates inversion time for the MPI baseline.
+func scalapackTime(c Cluster, n int) time.Duration {
 	m0 := c.Nodes
-	total := ScaLAPACKLU(n, m0).add(ScaLAPACKInversion(n, m0))
+	total := scalapackLU(n, m0).add(scalapackInversion(n, m0))
 
 	workers := float64(m0 * c.Node.Cores)
 	eff := 1 + scalEffDecay*float64(m0)
@@ -313,7 +313,7 @@ func ScaLAPACKTime(c Cluster, n int) time.Duration {
 	s := computeS + netS + syncS + ioS
 
 	// Swap penalty when the distributed working set does not fit in RAM.
-	if ws := ScaLAPACKWorkingSet(n, m0); ws > c.Node.RAM {
+	if ws := scalapackWorkingSet(n, m0); ws > c.Node.RAM {
 		s *= scalSwapPenalty * (ws / c.Node.RAM)
 	}
 	return secs(s)

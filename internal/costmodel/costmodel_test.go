@@ -21,7 +21,7 @@ func TestTable1Formulas(t *testing.T) {
 	if ours.Mults != 1e9/3 || ours.Adds != 1e9/3 {
 		t.Fatalf("flops = %g/%g", ours.Mults, ours.Adds)
 	}
-	scal := ScaLAPACKLU(n, 64)
+	scal := scalapackLU(n, 64)
 	if scal.Transfer != 2.0/3.0*64*n2 {
 		t.Fatalf("scal transfer = %g", scal.Transfer)
 	}
@@ -34,14 +34,14 @@ func TestTable2Formulas(t *testing.T) {
 	// For m0 = 64: l = (64 + 8 + 8)/2 = 40.
 	n := 1000
 	n2 := 1e6
-	ours := OursInversion(n, 64)
+	ours := oursInversion(n, 64)
 	if ours.Write != 2*n2 || ours.Read != 40*n2 || ours.Transfer != 42*n2 {
 		t.Fatalf("ours = %+v", ours)
 	}
 	if ours.Mults != 2e9/3 {
 		t.Fatalf("mults = %g", ours.Mults)
 	}
-	scal := ScaLAPACKInversion(n, 64)
+	scal := scalapackInversion(n, 64)
 	if scal.Read != 64*n2 || scal.Transfer != 64*n2 {
 		t.Fatalf("scal = %+v", scal)
 	}
@@ -220,8 +220,8 @@ func TestOursWorkerMemoryStreaming(t *testing.T) {
 	// M4 on 64 medium nodes: a full factor (84 GB) cannot fit a worker;
 	// the streaming inversion's band + output columns must.
 	n, m0 := 102400, 64
-	full := OursWorkerMemory(n, m0, false)
-	stream := OursWorkerMemory(n, m0, true)
+	full := oursWorkerMemory(n, m0, false)
+	stream := oursWorkerMemory(n, m0, true)
 	if full <= Medium.RAM {
 		t.Fatalf("full factor %g unexpectedly fits %g", full, Medium.RAM)
 	}
@@ -240,14 +240,14 @@ func TestSparkTimeBeatsHadoopTime(t *testing.T) {
 	for _, m0 := range []int{8, 16, 64} {
 		c := NewCluster(Medium, m0)
 		hadoop := OursTime(c, 32768, workload.PaperNB, AllOpts)
-		spark := SparkTime(c, 32768, workload.PaperNB)
+		spark := sparkTime(c, 32768, workload.PaperNB)
 		if spark >= hadoop {
 			t.Fatalf("m0=%d: spark %v >= hadoop %v", m0, spark, hadoop)
 		}
 	}
 	// But the gap must be bounded — compute still dominates overall.
 	c := NewCluster(Medium, 16)
-	ratio := OursTime(c, 32768, workload.PaperNB, AllOpts).Seconds() / SparkTime(c, 32768, workload.PaperNB).Seconds()
+	ratio := OursTime(c, 32768, workload.PaperNB, AllOpts).Seconds() / sparkTime(c, 32768, workload.PaperNB).Seconds()
 	if ratio > 3 {
 		t.Fatalf("spark speedup ratio %.2f implausibly large", ratio)
 	}

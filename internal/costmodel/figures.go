@@ -110,11 +110,11 @@ func Fig8() []Fig8Point {
 		}
 		for _, m0 := range Fig8Nodes {
 			c := NewCluster(Medium, m0)
-			if !ScaLAPACKFeasible(c, spec.Order) {
+			if !scalapackFeasible(c, spec.Order) {
 				continue
 			}
 			ours := OursTime(c, spec.Order, workload.PaperNB, AllOpts).Seconds()
-			scal := ScaLAPACKTime(c, spec.Order).Seconds()
+			scal := scalapackTime(c, spec.Order).Seconds()
 			out = append(out, Fig8Point{Matrix: name, Nodes: m0, Ratio: scal / ours})
 		}
 	}
@@ -143,15 +143,15 @@ func Sec74() []Sec74Row {
 	// Section 7.4's first run: one triangular-inversion mapper died and
 	// was rescheduled after another mapper finished — roughly one extra
 	// mapper's worth of inversion work, serial at the end of the job.
-	inv := OursInversion(spec.Order, large128.Nodes)
+	inv := oursInversion(spec.Order, large128.Nodes)
 	retry := secs((inv.Mults + inv.Adds) / float64(large128.Nodes) / (float64(large128.Node.Cores) * large128.Node.Flops))
 
 	return []Sec74Row{
 		{System: "ours", Cluster: "128 large", Time: ours128, Paper: "~5 h"},
 		{System: "ours+failure", Cluster: "128 large", Time: ours128 + retry, Paper: "~8 h"},
 		{System: "ours", Cluster: "64 medium", Time: OursTime(medium64, spec.Order, workload.PaperNB, AllOpts), Paper: "~15 h"},
-		{System: "scalapack", Cluster: "128 large", Time: ScaLAPACKTime(large128, spec.Order), Paper: "~8 h"},
-		{System: "scalapack", Cluster: "64 medium", Time: ScaLAPACKTime(medium64, spec.Order), Paper: ">48 h"},
+		{System: "scalapack", Cluster: "128 large", Time: scalapackTime(large128, spec.Order), Paper: "~8 h"},
+		{System: "scalapack", Cluster: "64 medium", Time: scalapackTime(medium64, spec.Order), Paper: ">48 h"},
 	}
 }
 
@@ -159,7 +159,7 @@ func Sec74() []Sec74Row {
 // symbolic formulas alongside evaluated element counts.
 func Table1Rows(n, m0 int) []string {
 	ours := OursLU(n, m0)
-	scal := ScaLAPACKLU(n, m0)
+	scal := scalapackLU(n, m0)
 	return []string{
 		fmt.Sprintf("Our Algorithm | write 3/2 n^2 = %.3g | read (l+3) n^2 = %.3g | transfer (l+3) n^2 = %.3g | mults n^3/3 = %.3g | adds n^3/3 = %.3g",
 			ours.Write, ours.Read, ours.Transfer, ours.Mults, ours.Adds),
@@ -170,8 +170,8 @@ func Table1Rows(n, m0 int) []string {
 
 // Table2Rows renders Table 2 for a concrete cluster size.
 func Table2Rows(n, m0 int) []string {
-	ours := OursInversion(n, m0)
-	scal := ScaLAPACKInversion(n, m0)
+	ours := oursInversion(n, m0)
+	scal := scalapackInversion(n, m0)
 	return []string{
 		fmt.Sprintf("Our Algorithm | write 2 n^2 = %.3g | read l n^2 = %.3g | transfer (l+2) n^2 = %.3g | mults 2n^3/3 = %.3g | adds 2n^3/3 = %.3g",
 			ours.Write, ours.Read, ours.Transfer, ours.Mults, ours.Adds),

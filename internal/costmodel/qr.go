@@ -48,19 +48,19 @@ type QRChoice struct {
 	Predicted map[QRStrategy]time.Duration
 }
 
-// SeqQRTime models one dense Householder QR of an m x n matrix on the
+// seqQRTime models one dense Householder QR of an m x n matrix on the
 // master's optimized kernel: ~2mn^2 flops.
-func SeqQRTime(node NodeSpec, m, n int) time.Duration {
+func seqQRTime(node NodeSpec, m, n int) time.Duration {
 	flops := 2 * float64(m) * float64(n) * float64(n)
 	return secs(flops / node.MasterFlops)
 }
 
-// TSQRTime models the two-round direct-TSQR pipeline on cluster c with b
+// tsqrTime models the two-round direct-TSQR pipeline on cluster c with b
 // row blocks: parallel local QRs of (m/b) x n blocks on the workers, the
 // stacked (b*n) x n reduce factorization, one apply round of the same
 // parallel shape, the shuffle transfer of b R factors, and two job
 // launches.
-func TSQRTime(c Cluster, m, n, b int) time.Duration {
+func tsqrTime(c Cluster, m, n, b int) time.Duration {
 	if b < 1 {
 		b = 1
 	}
@@ -89,8 +89,8 @@ func ChooseQR(c Cluster, m, n int) QRChoice {
 		b = 1
 	}
 	pred := map[QRStrategy]time.Duration{
-		QRSequential: SeqQRTime(c.Node, m, n),
-		QRTSQR:       TSQRTime(c, m, n, b),
+		QRSequential: seqQRTime(c.Node, m, n),
+		QRTSQR:       tsqrTime(c, m, n, b),
 	}
 	if n > 0 && m/n < MinTallRatio {
 		return QRChoice{

@@ -23,26 +23,26 @@ func TestServingClusterSpec(t *testing.T) {
 }
 
 func TestSeqQRTimeScalesAsMN2(t *testing.T) {
-	base := SeqQRTime(Medium, 1000, 10)
+	base := seqQRTime(Medium, 1000, 10)
 	if base <= 0 {
 		t.Fatal("non-positive sequential QR estimate")
 	}
-	if d := SeqQRTime(Medium, 2000, 10); d < 2*base*9/10 || d > 2*base*11/10 {
+	if d := seqQRTime(Medium, 2000, 10); d < 2*base*9/10 || d > 2*base*11/10 {
 		t.Fatalf("doubling m: %v vs base %v, want ~2x", d, base)
 	}
-	if d := SeqQRTime(Medium, 1000, 20); d < 4*base*9/10 || d > 4*base*11/10 {
+	if d := seqQRTime(Medium, 1000, 20); d < 4*base*9/10 || d > 4*base*11/10 {
 		t.Fatalf("doubling n: %v vs base %v, want ~4x", d, base)
 	}
 }
 
 func TestTSQRTimeClampsBlocks(t *testing.T) {
 	c := ServingCluster(8)
-	if d0, d1 := TSQRTime(c, 4096, 16, 0), TSQRTime(c, 4096, 16, 1); d0 != d1 {
+	if d0, d1 := tsqrTime(c, 4096, 16, 0), tsqrTime(c, 4096, 16, 1); d0 != d1 {
 		t.Fatalf("b=0 (%v) must clamp to b=1 (%v)", d0, d1)
 	}
 	// More blocks shrink the parallel map term but grow the stacked
 	// reduce; at a fixed tall shape a few blocks beat one.
-	if d8, d1 := TSQRTime(c, 1<<20, 16, 8), TSQRTime(c, 1<<20, 16, 1); d8 >= d1 {
+	if d8, d1 := tsqrTime(c, 1<<20, 16, 8), tsqrTime(c, 1<<20, 16, 1); d8 >= d1 {
 		t.Fatalf("8 blocks (%v) not faster than 1 (%v) on a very tall input", d8, d1)
 	}
 }

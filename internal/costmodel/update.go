@@ -49,8 +49,8 @@ func updateFlops(n, k int) float64 {
 	return 6*kf*nf*nf + 2*kf*kf*nf + (2.0/3.0)*kf*kf*kf
 }
 
-// SequentialUpdateTime models the SMW update on the master kernel.
-func SequentialUpdateTime(node NodeSpec, n, k int) time.Duration {
+// sequentialUpdateTime models the SMW update on the master kernel.
+func sequentialUpdateTime(node NodeSpec, n, k int) time.Duration {
 	return secs(updateFlops(n, k) / node.MasterFlops)
 }
 
@@ -78,7 +78,7 @@ func ChooseUpdate(c Cluster, n, k, nb, queued int) UpdateChoice {
 		full += time.Duration(core.PipelineJobs(n, nb)) * simJobLaunch
 	}
 	pred := map[UpdateStrategy]time.Duration{
-		UpdateSequential: SequentialUpdateTime(c.Node, n, k),
+		UpdateSequential: sequentialUpdateTime(c.Node, n, k),
 		UpdateFull:       scale(full, load),
 	}
 	if k <= 0 || k*MaxUpdateFraction > n {

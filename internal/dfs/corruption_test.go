@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestCorruptReplicaHealedOnRead(t *testing.T) {
@@ -95,5 +97,28 @@ func TestRewriteClearsCorruption(t *testing.T) {
 	}
 	if fs.Stats().CorruptionsHealed != 0 {
 		t.Fatal("rewrite should not count as healing")
+	}
+}
+
+// TestHealingMirrorsTransferMetric pins the registry mirror of the healing
+// copy: after a corrupt read, dfs.bytes_transferred must equal
+// Stats().BytesTransferred, replication and healing bytes included.
+func TestHealingMirrorsTransferMetric(t *testing.T) {
+	fs := New(3, 3)
+	reg := obs.NewRegistry()
+	fs.SetMetrics(reg)
+	fs.Write("f", make([]byte, 500))
+	if err := fs.Corrupt("f", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Read("f"); err != nil {
+		t.Fatal(err)
+	}
+	want := fs.Stats().BytesTransferred
+	if want != 2*500+500 {
+		t.Fatalf("Stats().BytesTransferred = %d, want 1500 (two replica copies + one heal)", want)
+	}
+	if got := reg.Counter("dfs.bytes_transferred").Value(); got != want {
+		t.Fatalf("dfs.bytes_transferred = %d, Stats().BytesTransferred = %d", got, want)
 	}
 }

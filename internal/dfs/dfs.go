@@ -25,8 +25,6 @@ import (
 // Common errors.
 var (
 	ErrNotFound = errors.New("dfs: file not found")
-	ErrExists   = errors.New("dfs: file already exists")
-	ErrIsDir    = errors.New("dfs: path is a directory")
 	// ErrCorrupt is returned when every replica of a file fails its
 	// checksum.
 	ErrCorrupt = errors.New("dfs: all replicas corrupt")
@@ -54,13 +52,7 @@ type file struct {
 	copies   [][]byte
 	sum      uint32
 	replicas []int // datanode ids holding a replica
-	// readers tracks the current and maximum number of simultaneous
-	// readers, supporting the paper's Section 5.2 claim that its layout
-	// never has two mappers reading or writing the same file at once.
-	readers    int
-	maxReaders int
-	writes     int   // number of times this path was (re)written
-	bytesRead  int64 // cumulative bytes served from this path
+	writes   int   // number of times this path was (re)written
 }
 
 // Stats is a snapshot of the accumulated I/O accounting.
@@ -99,10 +91,9 @@ type FS struct {
 	alive []bool
 	// nodeRead[i] / nodeWritten[i] are the byte flows through datanode i:
 	// bytes read by a task running on node i, and bytes landed on node i
-	// as a replica. masterRead accounts node-less (driver) reads.
+	// as a replica.
 	nodeRead    []int64
 	nodeWritten []int64
-	masterRead  int64
 	// metrics, when non-nil, mirrors the accounting into an obs registry.
 	metrics struct {
 		bytesRead, bytesWritten, bytesTransferred *obs.Counter
@@ -147,44 +138,6 @@ func (fs *FS) PerNodeIO() []NodeIO {
 	return out
 }
 
-// MasterBytesRead returns the bytes read without a node identity (the
-// MapReduce master / pipeline driver).
-func (fs *FS) MasterBytesRead() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.masterRead
-}
-
-// FileIO is one file's cumulative read volume.
-type FileIO struct {
-	Path      string
-	BytesRead int64
-}
-
-// HotFiles returns the k most-read files, by bytes served, descending
-// (ties broken by path). It answers "which file bounded the shuffle" the
-// way the paper's Section 6 reasons about per-file I/O.
-func (fs *FS) HotFiles(k int) []FileIO {
-	fs.mu.Lock()
-	out := make([]FileIO, 0, len(fs.files))
-	for p, f := range fs.files {
-		if f.bytesRead > 0 {
-			out = append(out, FileIO{Path: p, BytesRead: f.bytesRead})
-		}
-	}
-	fs.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BytesRead != out[j].BytesRead {
-			return out[i].BytesRead > out[j].BytesRead
-		}
-		return out[i].Path < out[j].Path
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // InjectReadErrors installs a read fault injector (nil disables). The
 // MapReduce engine's task retry turns such transient failures into
 // re-executed attempts, like Hadoop re-reading from HDFS.
@@ -220,8 +173,8 @@ func New(nodes, replication int) *FS {
 	}
 }
 
-// Clean normalizes a path: no leading/trailing slashes, no empty segments.
-func Clean(path string) string {
+// clean normalizes a path: no leading/trailing slashes, no empty segments.
+func clean(path string) string {
 	parts := strings.Split(path, "/")
 	out := parts[:0]
 	for _, p := range parts {
@@ -237,7 +190,7 @@ func Clean(path string) string {
 // (replication-1)/replication of them as network transfer — the pipeline
 // copies HDFS makes to the other replica holders.
 func (fs *FS) Write(path string, data []byte) {
-	path = Clean(path)
+	path = clean(path)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
@@ -280,7 +233,7 @@ func (fs *FS) Write(path string, data []byte) {
 // rewrite re-places the file on the requested nodes, keeping layouts
 // deterministic across task retries.
 func (fs *FS) WriteFrom(path string, data []byte, writer int, nodes []int) {
-	path = Clean(path)
+	path = clean(path)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var reps []int
@@ -367,21 +320,6 @@ func (fs *FS) placeAvoidingLocked(want int, avoid []int) []int {
 	return reps
 }
 
-// Create stores an empty file at path, failing if it already exists.
-func (fs *FS) Create(path string) error {
-	path = Clean(path)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return fmt.Errorf("%s: %w", path, ErrExists)
-	}
-	reps := fs.placeLocked()
-	fs.files[path] = &file{replicas: reps, copies: make([][]byte, len(reps)), sum: crc32.ChecksumIEEE(nil)}
-	fs.stats.FilesCreated++
-	fs.stats.WriteOps++
-	return nil
-}
-
 // Read returns a copy of the file's contents, charging a local read
 // (no transfer). Equivalent to ReadFrom with a node holding a replica.
 func (fs *FS) Read(path string) ([]byte, error) {
@@ -409,7 +347,7 @@ func (fs *FS) ReadFrom(path string, node int) ([]byte, error) {
 // Decoders that only copy out of the bytes (the matrix region reads) use
 // it to skip one whole-file copy per read.
 func (fs *FS) View(path string, node int) ([]byte, error) {
-	path = Clean(path)
+	path = clean(path)
 	fs.mu.Lock()
 	if fs.injectReadErr != nil {
 		if err := fs.injectReadErr(path); err != nil {
@@ -426,10 +364,6 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("%s: %w", path, ErrNoReplica)
 	}
-	f.readers++
-	if f.readers > f.maxReaders {
-		f.maxReaders = f.readers
-	}
 	// Checksum verification: serve the first healthy replica; heal any
 	// corrupt copies from it (HDFS re-replicates on checksum failure).
 	good := -1
@@ -442,7 +376,6 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 		}
 	}
 	if good < 0 {
-		f.readers--
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("%s: %w", path, ErrCorrupt)
 	}
@@ -452,6 +385,7 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 				f.copies[i] = append([]byte(nil), f.copies[good]...)
 				// Healing copies the block across the network.
 				fs.stats.BytesTransferred += int64(len(f.copies[good]))
+				fs.metrics.bytesTransferred.Add(int64(len(f.copies[good])))
 			}
 		}
 		fs.stats.CorruptionsHealed += int64(corrupt)
@@ -459,13 +393,10 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 	data := f.copies[good]
 	fs.stats.ReadOps++
 	fs.stats.BytesRead += int64(len(data))
-	f.bytesRead += int64(len(data))
 	fs.metrics.readOps.Add(1)
 	fs.metrics.bytesRead.Add(int64(len(data)))
 	if node >= 0 && node < len(fs.nodeRead) {
 		fs.nodeRead[node] += int64(len(data))
-	} else {
-		fs.masterRead += int64(len(data))
 	}
 	if node >= 0 {
 		local := false
@@ -480,7 +411,6 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 			fs.metrics.bytesTransferred.Add(int64(len(data)))
 		}
 	}
-	f.readers--
 	fs.mu.Unlock()
 	return data, nil
 }
@@ -491,9 +421,9 @@ func (fs *FS) View(path string, node int) ([]byte, error) {
 func (fs *FS) Corrupt(path string, replica int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[Clean(path)]
+	f, ok := fs.files[clean(path)]
 	if !ok {
-		return fmt.Errorf("%s: %w", Clean(path), ErrNotFound)
+		return fmt.Errorf("%s: %w", clean(path), ErrNotFound)
 	}
 	if replica < 0 || replica >= len(f.copies) {
 		return fmt.Errorf("dfs: Corrupt %s: replica %d of %d", path, replica, len(f.copies))
@@ -511,7 +441,7 @@ func (fs *FS) Corrupt(path string, replica int) error {
 func (fs *FS) Exists(path string) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	_, ok := fs.files[Clean(path)]
+	_, ok := fs.files[clean(path)]
 	return ok
 }
 
@@ -519,7 +449,7 @@ func (fs *FS) Exists(path string) bool {
 func (fs *FS) Size(path string) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[Clean(path)]
+	f, ok := fs.files[clean(path)]
 	if !ok {
 		return 0, fmt.Errorf("%s: %w", path, ErrNotFound)
 	}
@@ -533,24 +463,11 @@ func (fs *FS) Size(path string) (int64, error) {
 func (fs *FS) Replicas(path string) ([]int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[Clean(path)]
+	f, ok := fs.files[clean(path)]
 	if !ok {
 		return nil, fmt.Errorf("%s: %w", path, ErrNotFound)
 	}
 	return append([]int(nil), f.replicas...), nil
-}
-
-// MaxConcurrentReaders returns the largest number of simultaneous readers
-// the file has seen. The paper's file layout keeps this at 1 for all
-// intermediate files (Section 5.2).
-func (fs *FS) MaxConcurrentReaders(path string) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[Clean(path)]
-	if !ok {
-		return 0, fmt.Errorf("%s: %w", path, ErrNotFound)
-	}
-	return f.maxReaders, nil
 }
 
 // WriteCount returns how many times path has been written. The layout's
@@ -558,30 +475,18 @@ func (fs *FS) MaxConcurrentReaders(path string) (int, error) {
 func (fs *FS) WriteCount(path string) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[Clean(path)]
+	f, ok := fs.files[clean(path)]
 	if !ok {
 		return 0, fmt.Errorf("%s: %w", path, ErrNotFound)
 	}
 	return f.writes, nil
 }
 
-// Delete removes the file at path.
-func (fs *FS) Delete(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	path = Clean(path)
-	if _, ok := fs.files[path]; !ok {
-		return fmt.Errorf("%s: %w", path, ErrNotFound)
-	}
-	delete(fs.files, path)
-	return nil
-}
-
 // DeleteTree removes every file under the directory prefix.
 func (fs *FS) DeleteTree(dir string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir = Clean(dir)
+	dir = clean(dir)
 	prefix := dir + "/"
 	n := 0
 	for p := range fs.files {
@@ -597,7 +502,7 @@ func (fs *FS) DeleteTree(dir string) int {
 func (fs *FS) List(dir string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir = Clean(dir)
+	dir = clean(dir)
 	prefix := dir + "/"
 	if dir == "" {
 		prefix = ""
@@ -610,25 +515,6 @@ func (fs *FS) List(dir string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Du returns the total bytes stored under the directory prefix (logical
-// size of the primary copies, not counting replication).
-func (fs *FS) Du(dir string) int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	dir = Clean(dir)
-	prefix := dir + "/"
-	if dir == "" {
-		prefix = ""
-	}
-	var total int64
-	for p, f := range fs.files {
-		if strings.HasPrefix(p, prefix) && len(f.copies) > 0 {
-			total += int64(len(f.copies[0]))
-		}
-	}
-	return total
 }
 
 // FileCount returns the total number of files, a metric the Section 6.1
@@ -655,7 +541,6 @@ func (fs *FS) ResetStats() {
 	fs.stats = Stats{}
 	fs.nodeRead = make([]int64, fs.nodes)
 	fs.nodeWritten = make([]int64, fs.nodes)
-	fs.masterRead = 0
 }
 
 // Nodes returns the number of simulated datanodes.

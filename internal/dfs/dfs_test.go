@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,23 +32,13 @@ func TestReadNotFound(t *testing.T) {
 }
 
 func TestCleanPaths(t *testing.T) {
-	if got := Clean("/Root//A1/./a.txt/"); got != "Root/A1/a.txt" {
-		t.Fatalf("Clean = %q", got)
+	if got := clean("/Root//A1/./a.txt/"); got != "Root/A1/a.txt" {
+		t.Fatalf("clean = %q", got)
 	}
 	fs := New(1, 1)
 	fs.Write("/Root//x", []byte("v"))
 	if !fs.Exists("Root/x") {
 		t.Fatal("path normalization failed")
-	}
-}
-
-func TestCreateExisting(t *testing.T) {
-	fs := New(1, 1)
-	if err := fs.Create("f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("f"); !errors.Is(err, ErrExists) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -142,13 +133,6 @@ func TestListAndDeleteTree(t *testing.T) {
 	}
 }
 
-func TestDeleteMissing(t *testing.T) {
-	fs := New(1, 1)
-	if err := fs.Delete("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestSize(t *testing.T) {
 	fs := New(1, 1)
 	fs.Write("f", make([]byte, 321))
@@ -187,28 +171,6 @@ func TestConcurrentWritersDistinctFiles(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrentReaders(t *testing.T) {
-	fs := New(1, 1)
-	fs.Write("f", []byte("z"))
-	for i := 0; i < 3; i++ {
-		if _, err := fs.Read("f"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reads under a single mutex are serialized, so the max is 1 —
-	// matching the layout's design goal.
-	mr, err := fs.MaxConcurrentReaders("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr != 1 {
-		t.Fatalf("MaxConcurrentReaders = %d", mr)
-	}
-	if _, err := fs.MaxConcurrentReaders("g"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestMatrixRoundTrip(t *testing.T) {
 	fs := New(4, 3)
 	m := workload.Random(17, 55)
@@ -237,7 +199,11 @@ func TestMatrixTextRoundTrip(t *testing.T) {
 	if err := fs.WriteMatrixText("a.txt", m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadMatrixText("a.txt")
+	data, err := fs.Read("a.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := matrix.ReadText(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +217,6 @@ func TestReadMatrixCorrupt(t *testing.T) {
 	fs.Write("bad", []byte("not a matrix"))
 	if _, err := fs.ReadMatrix("bad"); err == nil {
 		t.Fatal("corrupt matrix accepted")
-	}
-	if _, err := fs.ReadMatrixText("bad"); err == nil {
-		t.Fatal("corrupt text matrix accepted")
 	}
 }
 

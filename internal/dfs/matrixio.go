@@ -58,16 +58,3 @@ func (fs *FS) WriteMatrixText(path string, m *matrix.Dense) error {
 	fs.Write(path, buf.Bytes())
 	return nil
 }
-
-// ReadMatrixText loads a text-format matrix from path.
-func (fs *FS) ReadMatrixText(path string) (*matrix.Dense, error) {
-	data, err := fs.Read(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := matrix.ReadText(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("dfs: ReadMatrixText %s: %w", path, err)
-	}
-	return m, nil
-}

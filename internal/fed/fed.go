@@ -129,7 +129,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:     cfg,
-		ring:    NewRing(cfg.VNodes),
+		ring:    newRing(cfg.VNodes),
 		tenants: newTenants(cfg.Tenants),
 		met:     cfg.Metrics,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),

@@ -32,9 +32,9 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds an empty ring with the given virtual-node count per
+// newRing builds an empty ring with the given virtual-node count per
 // shard (DefaultVNodes when <= 0).
-func NewRing(vnodes int) *Ring {
+func newRing(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}

@@ -18,7 +18,7 @@ func testKeys(n int) []string {
 
 func TestRingDistributionBalanced(t *testing.T) {
 	const shards, n = 8, 20000
-	r := NewRing(128)
+	r := newRing(128)
 	for s := 0; s < shards; s++ {
 		r.Add(s)
 	}
@@ -41,7 +41,7 @@ func TestRingDistributionBalanced(t *testing.T) {
 
 func TestRingOwnershipMatchesEmpiricalShare(t *testing.T) {
 	const shards, n = 4, 20000
-	r := NewRing(128)
+	r := newRing(128)
 	for s := 0; s < shards; s++ {
 		r.Add(s)
 	}
@@ -70,7 +70,7 @@ func TestRingOwnershipMatchesEmpiricalShare(t *testing.T) {
 // caches hot across a fleet resize.
 func TestRingAddRemapsBoundedFraction(t *testing.T) {
 	const shards, n = 8, 20000
-	r := NewRing(128)
+	r := newRing(128)
 	for s := 0; s < shards; s++ {
 		r.Add(s)
 	}
@@ -105,7 +105,7 @@ func TestRingAddRemapsBoundedFraction(t *testing.T) {
 // else's placement is untouched — exactly, not approximately.
 func TestRingRemoveOnlyRemapsVictimKeys(t *testing.T) {
 	const shards, n = 8, 20000
-	r := NewRing(128)
+	r := newRing(128)
 	for s := 0; s < shards; s++ {
 		r.Add(s)
 	}
@@ -131,7 +131,7 @@ func TestRingRemoveOnlyRemapsVictimKeys(t *testing.T) {
 
 func TestRingOwnerDeterministic(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(64)
+		r := newRing(64)
 		// Insertion order must not matter.
 		for _, s := range []int{2, 0, 3, 1} {
 			r.Add(s)

@@ -56,7 +56,7 @@ func (ix *BaseIndex) Add(digest string, a, inv *matrix.Dense) {
 	if a == nil || inv == nil || !a.IsSquare() {
 		return
 	}
-	sk := NewSketch(a) // sketch before taking the lock: O(n²) hashing must not serialize readers
+	sk := newSketch(a) // sketch before taking the lock: O(n²) hashing must not serialize readers
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if el, ok := ix.byKey[digest]; ok {
@@ -92,7 +92,7 @@ func (ix *BaseIndex) Lookup(digest string) (*Base, bool) {
 // deterministic: entries are visited in recency order and ties in
 // delta size go to the more recent base.
 func (ix *BaseIndex) Probe(a *matrix.Dense, kmax int) (*Base, []int, bool) {
-	sk := NewSketch(a)
+	sk := newSketch(a)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	var best *Base

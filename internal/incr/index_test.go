@@ -10,7 +10,7 @@ import (
 func TestSketchDiffRowsFindsPerturbation(t *testing.T) {
 	base := workload.DiagonallyDominant(32, 11)
 	next, rows := perturbRows(t, base, 4, 21)
-	got, ok := NewSketch(base).DiffRows(NewSketch(next), 8)
+	got, ok := newSketch(base).DiffRows(newSketch(next), 8)
 	if !ok {
 		t.Fatal("diff gave up below its limit")
 	}
@@ -26,14 +26,14 @@ func TestSketchDiffRowsFindsPerturbation(t *testing.T) {
 			t.Fatalf("row %d reported changed but was not perturbed", r)
 		}
 	}
-	if _, ok := NewSketch(base).DiffRows(NewSketch(next), 3); ok {
+	if _, ok := newSketch(base).DiffRows(newSketch(next), 3); ok {
 		t.Fatal("limit 3 must give up on a 4-row delta")
 	}
 }
 
 func TestSketchShapeMismatch(t *testing.T) {
-	a := NewSketch(workload.DiagonallyDominant(8, 1))
-	b := NewSketch(workload.DiagonallyDominant(12, 1))
+	a := newSketch(workload.DiagonallyDominant(8, 1))
+	b := newSketch(workload.DiagonallyDominant(12, 1))
 	if _, ok := a.DiffRows(b, 100); ok {
 		t.Fatal("different shapes reported comparable")
 	}

@@ -40,8 +40,8 @@ func hashRow(row []float64) uint64 {
 	return h
 }
 
-// NewSketch fingerprints every row of m.
-func NewSketch(m *matrix.Dense) *Sketch {
+// newSketch fingerprints every row of m.
+func newSketch(m *matrix.Dense) *Sketch {
 	s := &Sketch{Rows: m.Rows, Cols: m.Cols, H: make([]uint64, m.Rows)}
 	for i := 0; i < m.Rows; i++ {
 		s.H[i] = hashRow(m.Row(i))

@@ -59,29 +59,3 @@ func RefineInverse(a, x *matrix.Dense, maxIter int) (*matrix.Dense, float64, err
 	}
 	return cur, res, nil
 }
-
-// SolveRefined solves A x = b with one step of classical iterative
-// refinement: solve, compute the residual r = b - A x in working
-// precision, solve the correction, and add it.
-func (f *Factorization) SolveRefined(a *matrix.Dense, b []float64) ([]float64, error) {
-	x, err := f.SolveVec(b)
-	if err != nil {
-		return nil, err
-	}
-	ax, err := matrix.MulVec(a, x)
-	if err != nil {
-		return nil, err
-	}
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	d, err := f.SolveVec(r)
-	if err != nil {
-		return nil, err
-	}
-	for i := range x {
-		x[i] += d[i]
-	}
-	return x, nil
-}

@@ -62,33 +62,3 @@ func TestRefineInverseShapeErrors(t *testing.T) {
 		t.Fatal("mismatched orders accepted")
 	}
 }
-
-func TestSolveRefined(t *testing.T) {
-	n := 32
-	a := workload.DiagonallyDominant(n, 703)
-	f, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = math.Cos(float64(i))
-	}
-	b, err := matrix.MulVec(a, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := f.SolveRefined(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := range want {
-		if d := math.Abs(x[i] - want[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-12 {
-		t.Fatalf("refined solve error %g", worst)
-	}
-}

@@ -12,11 +12,11 @@ import (
 // (Section 5). These helpers implement the standard tools of that
 // investigation for the LU kernel.
 
-// GrowthFactor returns the pivot growth factor of the factorization:
+// growthFactor returns the pivot growth factor of the factorization:
 // max|U| / max|A|. Partial pivoting keeps it bounded by 2^(n-1) in the
 // worst case but ~n^(2/3) on average for random matrices; large growth
 // signals accuracy loss.
-func GrowthFactor(a *matrix.Dense) (float64, error) {
+func growthFactor(a *matrix.Dense) (float64, error) {
 	f, err := Decompose(a)
 	if err != nil {
 		return 0, err
@@ -38,10 +38,10 @@ func GrowthFactor(a *matrix.Dense) (float64, error) {
 	return maxU / maxA, nil
 }
 
-// BackwardError returns the normwise relative backward error of a
+// backwardError returns the normwise relative backward error of a
 // computed inverse X: ||A X - I||_inf / (||A||_inf ||X||_inf). Values
 // near machine epsilon indicate a backward-stable computation.
-func BackwardError(a, x *matrix.Dense) (float64, error) {
+func backwardError(a, x *matrix.Dense) (float64, error) {
 	ax, err := matrix.Mul(a, x)
 	if err != nil {
 		return 0, err
@@ -57,9 +57,9 @@ func BackwardError(a, x *matrix.Dense) (float64, error) {
 	return matrix.NormInf(ax) / denom, nil
 }
 
-// ConditionInf estimates the infinity-norm condition number by computing
+// conditionInf estimates the infinity-norm condition number by computing
 // the inverse explicitly: kappa = ||A||_inf ||A^-1||_inf.
-func ConditionInf(a *matrix.Dense) (float64, error) {
+func conditionInf(a *matrix.Dense) (float64, error) {
 	inv, err := Invert(a)
 	if err != nil {
 		return 0, err
@@ -67,10 +67,10 @@ func ConditionInf(a *matrix.Dense) (float64, error) {
 	return matrix.NormInf(a) * matrix.NormInf(inv), nil
 }
 
-// ForwardErrorBound returns the standard first-order forward error bound
+// forwardErrorBound returns the standard first-order forward error bound
 // for the computed inverse: kappa * eps. The measured residual should not
 // exceed this by a large factor for a stable implementation.
-func ForwardErrorBound(kappa float64) float64 {
+func forwardErrorBound(kappa float64) float64 {
 	const eps = 2.220446049250313e-16
 	return kappa * eps
 }

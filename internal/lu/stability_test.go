@@ -11,7 +11,7 @@ import (
 func TestGrowthFactorModestForRandom(t *testing.T) {
 	// Partial pivoting keeps growth small on random inputs (~n^(2/3)).
 	for _, n := range []int{16, 64, 128} {
-		g, err := GrowthFactor(workload.Random(n, int64(n)))
+		g, err := growthFactor(workload.Random(n, int64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestGrowthFactorWilkinsonWorstCase(t *testing.T) {
 			w.Set(i, j, -1)
 		}
 	}
-	g, err := GrowthFactor(w)
+	g, err := growthFactor(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBackwardErrorNearEps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := BackwardError(a, inv)
+	be, err := backwardError(a, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestHilbertConditionExplodes(t *testing.T) {
 	// The Hilbert matrix's condition number grows exponentially; measured
 	// residuals degrade proportionally, exactly the behaviour a stability
 	// investigation must surface.
-	k6, err := ConditionInf(workload.Hilbert(6))
+	k6, err := conditionInf(workload.Hilbert(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k10, err := ConditionInf(workload.Hilbert(10))
+	k10, err := conditionInf(workload.Hilbert(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestResidualTracksConditionBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kappa, err := ConditionInf(src.m)
+		kappa, err := conditionInf(src.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := ForwardErrorBound(kappa)
+		bound := forwardErrorBound(kappa)
 		// Allow three orders of slack over the first-order bound.
 		if res > 1e3*bound+1e-14 {
 			t.Fatalf("%s: residual %g exceeds 1e3 * bound %g", src.name, res, bound)
@@ -113,13 +113,13 @@ func TestResidualTracksConditionBound(t *testing.T) {
 }
 
 func TestBackwardErrorShapeMismatch(t *testing.T) {
-	if _, err := BackwardError(matrix.New(2, 2), matrix.New(3, 3)); err == nil {
+	if _, err := backwardError(matrix.New(2, 2), matrix.New(3, 3)); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }
 
 func TestGrowthFactorZeroMatrixAndSingular(t *testing.T) {
-	if _, err := GrowthFactor(matrix.New(3, 3)); err == nil {
+	if _, err := growthFactor(matrix.New(3, 3)); err == nil {
 		t.Fatal("singular matrix accepted")
 	}
 }

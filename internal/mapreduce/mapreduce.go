@@ -135,8 +135,8 @@ type ReduceFunc func(ctx *TaskContext, key string, values [][]byte, emit Emitter
 // Partitioner maps a key to a reduce task index.
 type Partitioner func(key string, numReduce int) int
 
-// DefaultPartitioner hashes the key (FNV-1a), Hadoop's default behaviour.
-func DefaultPartitioner(key string, numReduce int) int {
+// defaultPartitioner hashes the key (FNV-1a), Hadoop's default behaviour.
+func defaultPartitioner(key string, numReduce int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return int(h.Sum32()) % numReduce
@@ -157,7 +157,7 @@ type Job struct {
 	// before the shuffle, cutting ShuffledKVs (the classic wordcount
 	// optimization).
 	Combine    CombineFunc
-	Partition  Partitioner // nil selects DefaultPartitioner
+	Partition  Partitioner // nil selects defaultPartitioner
 	Config     map[string]string
 	MaxAttempt int // per-task attempt budget; 0 selects the cluster default
 	// Prefer, when non-nil, lists the datanodes holding map task i's
@@ -317,7 +317,7 @@ func (c *Cluster) TaskFailures() int {
 // JobTracker contract the serving layer depends on.
 func (c *Cluster) Scheduler() *SlotPool {
 	c.schedOnce.Do(func() {
-		c.sched = NewSlotPool(c.Slots, c.MaxConcurrentJobs, c.SlotQuota, c.Metrics)
+		c.sched = newSlotPool(c.Slots, c.MaxConcurrentJobs, c.SlotQuota, c.Metrics)
 	})
 	return c.sched
 }
@@ -384,7 +384,7 @@ func (c *Cluster) RunCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	}
 	part := job.Partition
 	if part == nil {
-		part = DefaultPartitioner
+		part = defaultPartitioner
 	}
 	sj := c.Scheduler().Register(job.Name, job.Priority)
 	defer sj.Close()

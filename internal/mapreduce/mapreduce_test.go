@@ -375,7 +375,7 @@ func TestControlSplits(t *testing.T) {
 
 func TestDefaultPartitionerInRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
-		p := DefaultPartitioner(strconv.Itoa(i), 7)
+		p := defaultPartitioner(strconv.Itoa(i), 7)
 		if p < 0 || p >= 7 {
 			t.Fatalf("partition %d out of range", p)
 		}

@@ -46,10 +46,10 @@ type SlotPool struct {
 	waiting int
 }
 
-// NewSlotPool builds a pool of capacity slots. maxJobs <= 0 means no cap
+// newSlotPool builds a pool of capacity slots. maxJobs <= 0 means no cap
 // on concurrently admitted jobs; quota <= 0 means no per-job slot cap.
 // met may be nil (no-op instruments).
-func NewSlotPool(capacity, maxJobs, quota int, met *obs.Registry) *SlotPool {
+func newSlotPool(capacity, maxJobs, quota int, met *obs.Registry) *SlotPool {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -325,13 +325,6 @@ func (p *SlotPool) Stats() SchedStats {
 		QueueDepth: p.waiting,
 		Jobs:       len(p.jobs),
 	}
-}
-
-// ResetPeak clears the high-water mark (test probe).
-func (p *SlotPool) ResetPeak() {
-	p.mu.Lock()
-	p.peak = p.inUse
-	p.mu.Unlock()
 }
 
 // Grants returns how many slots this job has been granted.

@@ -158,7 +158,7 @@ func TestMaxConcurrentJobs(t *testing.T) {
 // other is well past a quarter of its own (round-robin arbitration; a
 // job-FIFO scheduler would leave the loser near zero).
 func TestFairShareBoundedSkew(t *testing.T) {
-	p := NewSlotPool(2, 0, 0, nil)
+	p := newSlotPool(2, 0, 0, nil)
 	const perJob = 30
 	run := func(j *SchedJob, done *atomic.Int64, fin chan<- struct{}) {
 		var wg sync.WaitGroup
@@ -222,7 +222,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // queued, the higher-priority job is granted first regardless of queue
 // order.
 func TestPriorityWinsContendedSlot(t *testing.T) {
-	p := NewSlotPool(1, 0, 0, nil)
+	p := newSlotPool(1, 0, 0, nil)
 	hold := p.Register("hold", 0)
 	lo := p.Register("lo", 0)
 	hi := p.Register("hi", 5)
@@ -258,7 +258,7 @@ func TestPriorityWinsContendedSlot(t *testing.T) {
 // TestSlotQuotaRedirectsToWaitingJob: a freed slot skips a job at its
 // quota while another job is waiting.
 func TestSlotQuotaRedirectsToWaitingJob(t *testing.T) {
-	p := NewSlotPool(4, 0, 2, nil)
+	p := newSlotPool(4, 0, 2, nil)
 	a := p.Register("a", 0)
 	b := p.Register("b", 0)
 	acq := func(j *SchedJob) int {
@@ -305,7 +305,7 @@ func TestSlotQuotaRedirectsToWaitingJob(t *testing.T) {
 // TestAcquireCancellation: a waiter withdrawn by context cancellation or
 // stop-channel close releases nothing and leaves the pool consistent.
 func TestAcquireCancellation(t *testing.T) {
-	p := NewSlotPool(1, 0, 0, nil)
+	p := newSlotPool(1, 0, 0, nil)
 	j := p.Register("j", 0)
 	s, _, ok := j.Acquire(context.Background(), nil)
 	if !ok {
@@ -335,7 +335,7 @@ func TestAcquireCancellation(t *testing.T) {
 // TestCloseDeniesWaiters: closing a job wakes its queued acquires with
 // ok=false instead of leaving them blocked.
 func TestCloseDeniesWaiters(t *testing.T) {
-	p := NewSlotPool(1, 0, 0, nil)
+	p := newSlotPool(1, 0, 0, nil)
 	holder := p.Register("holder", 0)
 	s, _, _ := holder.Acquire(context.Background(), nil)
 	j := p.Register("j", 0)

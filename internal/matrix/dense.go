@@ -36,15 +36,6 @@ func New(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// NewFromData wraps the given backing slice as an r x c matrix without
-// copying. It panics if len(data) != r*c.
-func NewFromData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("matrix: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Dense{Rows: r, Cols: c, Data: data}
-}
-
 // FromRows builds a matrix from a slice of equal-length rows, copying the
 // values. It panics if the rows are ragged.
 func FromRows(rows [][]float64) *Dense {

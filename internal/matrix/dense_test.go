@@ -35,27 +35,6 @@ func TestNewPanicsOnNegative(t *testing.T) {
 	New(-1, 2)
 }
 
-func TestNewFromData(t *testing.T) {
-	d := []float64{1, 2, 3, 4, 5, 6}
-	m := NewFromData(2, 3, d)
-	if m.At(1, 2) != 6 {
-		t.Fatalf("At(1,2) = %v, want 6", m.At(1, 2))
-	}
-	m.Set(0, 0, 42)
-	if d[0] != 42 {
-		t.Fatal("NewFromData must wrap, not copy")
-	}
-}
-
-func TestNewFromDataPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFromData(2, 3, []float64{1})
-}
-
 func TestFromRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows != 3 || m.Cols != 2 {

@@ -286,8 +286,3 @@ func DecodeBinaryRegion(data []byte, r0, r1, c0, c1 int, dst *Dense, dr, dc int,
 // BinarySize returns the exact byte size of an r x c matrix in the binary
 // format. Used for Table 3 style size reporting.
 func BinarySize(r, c int) int64 { return 12 + 8*int64(r)*int64(c) }
-
-// TextSizeEstimate estimates the byte size of an r x c random matrix in the
-// text format, assuming the paper's ~20 characters per element (Table 3
-// shows text ≈ 2.5x binary for double precision values).
-func TextSizeEstimate(r, c int) int64 { return 20 * int64(r) * int64(c) }

@@ -26,23 +26,6 @@ func NormInf(m *Dense) float64 {
 	return worst
 }
 
-// NormOne returns the one norm: the maximum absolute column sum.
-func NormOne(m *Dense) float64 {
-	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			sums[j] += math.Abs(v)
-		}
-	}
-	var worst float64
-	for _, s := range sums {
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // MaxAbs returns the largest absolute element value.
 func MaxAbs(m *Dense) float64 {
 	var worst float64
@@ -52,18 +35,6 @@ func MaxAbs(m *Dense) float64 {
 		}
 	}
 	return worst
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func Trace(m *Dense) float64 {
-	if !m.IsSquare() {
-		panic("matrix: Trace of non-square matrix")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		s += m.At(i, i)
-	}
-	return s
 }
 
 // ConditionEstimateInf returns ||A||_inf * ||Ainv||_inf, the infinity-norm

@@ -15,32 +15,8 @@ func TestNormsKnownValues(t *testing.T) {
 	if got := NormInf(m); got != 7 {
 		t.Fatalf("Inf = %v", got)
 	}
-	if got := NormOne(m); got != 6 {
-		t.Fatalf("One = %v", got)
-	}
 	if got := MaxAbs(m); got != 4 {
 		t.Fatalf("MaxAbs = %v", got)
-	}
-}
-
-func TestTrace(t *testing.T) {
-	m := FromRows([][]float64{{1, 9}, {9, 2}})
-	if got := Trace(m); got != 3 {
-		t.Fatalf("Trace = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Trace of non-square must panic")
-		}
-	}()
-	Trace(New(2, 3))
-}
-
-func TestNormOneIsInfOfTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := randDense(rng, 8, 5)
-	if math.Abs(NormOne(m)-NormInf(m.Transpose())) > 1e-12 {
-		t.Fatal("||A||_1 != ||A^T||_inf")
 	}
 }
 
@@ -62,8 +38,7 @@ func TestQuickNormHomogeneity(t *testing.T) {
 		abs := math.Abs(s)
 		ok := func(x, y float64) bool { return math.Abs(x-y) <= 1e-9*(1+math.Abs(y)) }
 		return ok(NormFrobenius(sm), abs*NormFrobenius(m)) &&
-			ok(NormInf(sm), abs*NormInf(m)) &&
-			ok(NormOne(sm), abs*NormOne(m))
+			ok(NormInf(sm), abs*NormInf(m))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

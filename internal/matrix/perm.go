@@ -44,20 +44,6 @@ func (p Perm) Inverse() Perm {
 	return out
 }
 
-// Compose returns the permutation r = p∘q, meaning r[i] = q[p[i]]:
-// applying r permutes like applying q first... — concretely, if
-// B = ApplyRows(q, A) and C = ApplyRows(p, B), then C = ApplyRows(r, A).
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("matrix: Compose length mismatch %d vs %d", len(p), len(q)))
-	}
-	out := make(Perm, len(p))
-	for i := range p {
-		out[i] = q[p[i]]
-	}
-	return out
-}
-
 // Matrix returns the explicit permutation matrix P with P*A == ApplyRows.
 func (p Perm) Matrix() *Dense {
 	n := len(p)

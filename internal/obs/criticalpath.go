@@ -49,7 +49,7 @@ func ComputeCriticalPath(spans []Span, rootID int64) (*CriticalPath, error) {
 	if root.End.IsZero() {
 		return nil, fmt.Errorf("obs: critical path: root span %q unfinished", root.Name)
 	}
-	idx := ChildrenIndex(spans)
+	idx := childrenIndex(spans)
 	var segs []PathSegment
 	cover(*root, root.Start, root.End, idx, &segs)
 	// cover emits segments walking backwards; restore time order.

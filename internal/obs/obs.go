@@ -157,19 +157,6 @@ func (s *Span) SetAttr(name string, v int64) {
 	s.tr.mu.Unlock()
 }
 
-// AddAttr accumulates into a numeric attribute.
-func (s *Span) AddAttr(name string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]int64)
-	}
-	s.Attrs[name] += delta
-	s.tr.mu.Unlock()
-}
-
 // SetLabel sets a string attribute.
 func (s *Span) SetLabel(name, value string) {
 	if s == nil {
@@ -253,9 +240,9 @@ func Root(spans []Span) *Span {
 	return nil
 }
 
-// ChildrenIndex maps each parent span id to its children, preserving
+// childrenIndex maps each parent span id to its children, preserving
 // snapshot (start-time) order.
-func ChildrenIndex(spans []Span) map[int64][]*Span {
+func childrenIndex(spans []Span) map[int64][]*Span {
 	idx := make(map[int64][]*Span)
 	for i := range spans {
 		idx[spans[i].Parent] = append(idx[spans[i].Parent], &spans[i])

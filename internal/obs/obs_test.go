@@ -31,8 +31,7 @@ func TestSpanHierarchy(t *testing.T) {
 	job := root.Child("job", KindJob)
 	task := job.Child("map:0", KindTask)
 	task.SetTrack(3)
-	task.SetAttr("bytes", 100)
-	task.AddAttr("bytes", 50)
+	task.SetAttr("bytes", 150)
 	task.SetLabel("speculative", "true")
 	task.Finish()
 	job.Finish()
@@ -46,7 +45,7 @@ func TestSpanHierarchy(t *testing.T) {
 	if r == nil || r.Name != "pipeline" {
 		t.Fatalf("root = %+v", r)
 	}
-	idx := ChildrenIndex(spans)
+	idx := childrenIndex(spans)
 	if len(idx[r.ID]) != 1 || idx[r.ID][0].Name != "job" {
 		t.Fatalf("root children = %+v", idx[r.ID])
 	}
@@ -74,7 +73,6 @@ func TestConcurrentSpans(t *testing.T) {
 				s := root.Child("task", KindTask)
 				s.SetTrack(w)
 				s.SetAttr("i", int64(i))
-				s.AddAttr("i", 1)
 				s.SetLabel("w", "x")
 				_ = s.Duration()
 				s.Finish()
@@ -107,7 +105,6 @@ func TestNoopPathAllocatesNothing(t *testing.T) {
 		task := job.Child("task", KindTask)
 		task.SetTrack(1)
 		task.SetAttr("bytes", 1)
-		task.AddAttr("bytes", 1)
 		task.SetLabel("k", "v")
 		_ = task.Duration()
 		task.Finish()

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Summarize writes a plain-text report of a finished trace: span counts
+// summarize writes a plain-text report of a finished trace: span counts
 // by kind, then one line per job span with its task population, bytes,
 // and duration — the per-run analog of the paper's per-phase tables.
-func Summarize(w io.Writer, spans []Span) {
+func summarize(w io.Writer, spans []Span) {
 	if len(spans) == 0 {
 		fmt.Fprintln(w, "trace: no spans recorded")
 		return
@@ -34,7 +34,7 @@ func Summarize(w io.Writer, spans []Span) {
 	}
 	fmt.Fprintln(w, ")")
 
-	idx := ChildrenIndex(spans)
+	idx := childrenIndex(spans)
 	for i := range spans {
 		s := &spans[i]
 		if s.Kind != KindJob || s.End.IsZero() {
@@ -54,9 +54,9 @@ func Summarize(w io.Writer, spans []Span) {
 	}
 }
 
-// SummarizeString is Summarize into a string.
+// SummarizeString is summarize into a string.
 func SummarizeString(spans []Span) string {
 	var b strings.Builder
-	Summarize(&b, spans)
+	summarize(&b, spans)
 	return b.String()
 }

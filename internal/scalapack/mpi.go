@@ -1,12 +1,4 @@
-// Package mpi is a minimal message-passing substrate modeled on the MPI
-// primitives ScaLAPACK uses: rank-addressed, tagged point-to-point sends
-// and receives, implemented over Go channels.
-//
-// The HPDC 2014 paper compares its MapReduce inverter against ScaLAPACK
-// over MPICH; this package lets the repository's ScaLAPACK-style baseline
-// (package scalapack) run for real, with per-rank byte counters exposing
-// the communication volumes of the paper's Tables 1 and 2.
-package mpi
+package scalapack
 
 import (
 	"fmt"
@@ -16,6 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
+// The message-passing substrate: a minimal model of the MPI primitives
+// ScaLAPACK uses — rank-addressed, tagged point-to-point sends and
+// receives over Go channels. The paper compares its MapReduce inverter
+// against ScaLAPACK over MPICH; this lets the baseline run for real, with
+// per-rank byte counters exposing the communication volumes of the
+// paper's Tables 1 and 2.
+
 // message is one tagged payload in flight.
 type message struct {
 	from, tag int
@@ -23,8 +22,8 @@ type message struct {
 	ints      []int
 }
 
-// World is a communicator over size ranks.
-type World struct {
+// commWorld is a communicator over size ranks.
+type commWorld struct {
 	size   int
 	queues []chan message
 
@@ -42,17 +41,17 @@ type World struct {
 
 // AttachMetrics mirrors the world's communication accounting into reg.
 // Call before launching ranks; nil detaches.
-func (w *World) AttachMetrics(reg *obs.Registry) {
+func (w *commWorld) AttachMetrics(reg *obs.Registry) {
 	w.mBytesSent = reg.Counter("mpi.bytes_sent")
 	w.mMsgsSent = reg.Counter("mpi.messages")
 }
 
-// NewWorld creates a communicator with the given number of ranks.
-func NewWorld(size int) *World {
+// newWorld creates a communicator with the given number of ranks.
+func newWorld(size int) *commWorld {
 	if size < 1 {
 		size = 1
 	}
-	w := &World{
+	w := &commWorld{
 		size:       size,
 		queues:     make([]chan message, size),
 		perRankTxB: make([]atomic.Int64, size),
@@ -66,53 +65,53 @@ func NewWorld(size int) *World {
 }
 
 // Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
+func (w *commWorld) Size() int { return w.size }
 
 // BytesSent returns total float64-payload bytes sent so far (8 bytes per
 // element plus 8 per int), the Table 1/2 "Transfer" metric.
-func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
+func (w *commWorld) BytesSent() int64 { return w.bytesSent.Load() }
 
 // MessagesSent returns the number of point-to-point messages.
-func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
+func (w *commWorld) MessagesSent() int64 { return w.msgsSent.Load() }
 
 // RankBytesSent returns the bytes sent by one rank.
-func (w *World) RankBytesSent(rank int) int64 { return w.perRankTxB[rank].Load() }
+func (w *commWorld) RankBytesSent(rank int) int64 { return w.perRankTxB[rank].Load() }
 
 // RankBytesRecv returns the bytes received (consumed) by one rank.
-func (w *World) RankBytesRecv(rank int) int64 { return w.perRankRxB[rank].Load() }
+func (w *commWorld) RankBytesRecv(rank int) int64 { return w.perRankRxB[rank].Load() }
 
-// Comm is one rank's endpoint.
-type Comm struct {
-	w    *World
+// comm is one rank's endpoint.
+type comm struct {
+	w    *commWorld
 	rank int
 }
 
 // Rank returns c's rank id.
-func (c *Comm) Rank() int { return c.rank }
+func (c *comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return c.w.size }
+func (c *comm) Size() int { return c.w.size }
 
 // At returns the endpoint for a rank; used to launch rank goroutines.
-func (w *World) At(rank int) *Comm {
+func (w *commWorld) At(rank int) *comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range %d", rank, w.size))
 	}
-	return &Comm{w: w, rank: rank}
+	return &comm{w: w, rank: rank}
 }
 
 // Send delivers data to rank dst with a tag. The payload is copied, so the
 // caller may reuse its buffer. Send blocks only if dst's inbox is full.
-func (c *Comm) Send(dst, tag int, data []float64) {
+func (c *comm) Send(dst, tag int, data []float64) {
 	c.sendMsg(dst, tag, append([]float64(nil), data...), nil)
 }
 
 // SendInts delivers an int payload (pivot indices and the like).
-func (c *Comm) SendInts(dst, tag int, data []int) {
+func (c *comm) SendInts(dst, tag int, data []int) {
 	c.sendMsg(dst, tag, nil, append([]int(nil), data...))
 }
 
-func (c *Comm) sendMsg(dst, tag int, data []float64, ints []int) {
+func (c *comm) sendMsg(dst, tag int, data []float64, ints []int) {
 	if dst < 0 || dst >= c.w.size {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dst, c.w.size))
 	}
@@ -131,25 +130,25 @@ func msgBytes(m message) int64 { return int64(8*len(m.data) + 8*len(m.ints)) }
 // Recv blocks until a message with the given source and tag arrives and
 // returns its float payload. Out-of-order messages with other (src, tag)
 // pairs are buffered. src < 0 matches any source.
-func (c *Comm) Recv(src, tag int) []float64 {
+func (c *comm) Recv(src, tag int) []float64 {
 	m := c.recvMatch(src, tag)
 	return m.data
 }
 
 // RecvInts is Recv for int payloads.
-func (c *Comm) RecvInts(src, tag int) []int {
+func (c *comm) RecvInts(src, tag int) []int {
 	m := c.recvMatch(src, tag)
 	return m.ints
 }
 
 // pending holds out-of-order messages per rank. It lives in a map keyed by
-// rank inside World to keep Comm value-light; protected by pendMu.
+// rank inside commWorld to keep comm value-light; protected by pendMu.
 var (
 	pendMu  sync.Mutex
-	pending = map[*World]map[int][]message{}
+	pending = map[*commWorld]map[int][]message{}
 )
 
-func (c *Comm) recvMatch(src, tag int) message {
+func (c *comm) recvMatch(src, tag int) message {
 	// Check the stash first.
 	pendMu.Lock()
 	stash := pending[c.w]
@@ -178,10 +177,10 @@ func (c *Comm) recvMatch(src, tag int) message {
 	}
 }
 
-// RunWorld launches fn on every rank of w concurrently and waits for all
+// runWorld launches fn on every rank of w concurrently and waits for all
 // to finish, returning the first error. The caller keeps w to read its
 // counters afterwards.
-func RunWorld(w *World, fn func(c *Comm) error) error {
+func runWorld(w *commWorld, fn func(c *comm) error) error {
 	defer cleanup(w)
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
@@ -201,7 +200,7 @@ func RunWorld(w *World, fn func(c *Comm) error) error {
 	return nil
 }
 
-func cleanup(w *World) {
+func cleanup(w *commWorld) {
 	pendMu.Lock()
 	delete(pending, w)
 	pendMu.Unlock()

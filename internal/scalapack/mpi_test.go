@@ -1,4 +1,4 @@
-package mpi
+package scalapack
 
 import (
 	"errors"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestPingPong(t *testing.T) {
-	err := RunWorld(NewWorld(2), func(c *Comm) error {
+	err := runWorld(newWorld(2), func(c *comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
 			back := c.Recv(1, 8)
@@ -28,7 +28,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	err := RunWorld(NewWorld(2), func(c *Comm) error {
+	err := runWorld(newWorld(2), func(c *comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			c.Send(1, 1, buf)
@@ -47,7 +47,7 @@ func TestSendCopiesPayload(t *testing.T) {
 
 func TestTagAndSourceMatching(t *testing.T) {
 	// Out-of-order delivery across tags must be handled by stashing.
-	err := RunWorld(NewWorld(2), func(c *Comm) error {
+	err := runWorld(newWorld(2), func(c *comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 2, []float64{2})
 			c.Send(1, 1, []float64{1})
@@ -66,8 +66,8 @@ func TestTagAndSourceMatching(t *testing.T) {
 }
 
 func TestByteAccounting(t *testing.T) {
-	w := NewWorld(2)
-	err := RunWorld(w, func(c *Comm) error {
+	w := newWorld(2)
+	err := runWorld(w, func(c *comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, make([]float64, 100)) // 800 bytes
 		} else {
@@ -94,7 +94,7 @@ func TestByteAccounting(t *testing.T) {
 
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := errors.New("rank failed")
-	err := RunWorld(NewWorld(3), func(c *Comm) error {
+	err := runWorld(newWorld(3), func(c *comm) error {
 		if c.Rank() == 1 {
 			return sentinel
 		}
@@ -106,7 +106,7 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestAnySource(t *testing.T) {
-	err := RunWorld(NewWorld(3), func(c *Comm) error {
+	err := runWorld(newWorld(3), func(c *comm) error {
 		if c.Rank() == 0 {
 			got1 := c.Recv(-1, 5)
 			got2 := c.Recv(-1, 5)

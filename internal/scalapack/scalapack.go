@@ -2,8 +2,8 @@
 // comparison target: matrix inversion in the ScaLAPACK style — a
 // distributed-memory, block-cyclic, message-passing implementation of LU
 // factorization with partial pivoting (the PDGETRF analog) followed by
-// inversion from the factors (the PDGETRI analog), running over the
-// channel-based MPI substrate in internal/mpi.
+// inversion from the factors (the PDGETRI analog), running over a
+// channel-based MPI substrate (mpi.go).
 //
 // Layout: the process grid the paper uses for its ScaLAPACK runs — "we
 // set the process grid to f1 x f2, where m0 = f1 x f2 is the number of
@@ -29,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/matrix"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -99,14 +98,14 @@ func Invert(a *matrix.Dense, cfg Config) (*matrix.Dense, *Stats, error) {
 	if n == 0 {
 		return matrix.New(0, 0), &Stats{}, nil
 	}
-	world := mpi.NewWorld(cfg.Procs)
+	world := newWorld(cfg.Procs)
 	world.AttachMetrics(cfg.Metrics)
 	span := cfg.Tracer.StartSpan("scalapack.invert", obs.KindPipeline)
 	span.SetAttr("order", int64(n))
 	span.SetAttr("grid_rows", int64(pr))
 	span.SetAttr("grid_cols", int64(pc))
 	out := matrix.New(n, n)
-	err := mpi.RunWorld(world, func(c *mpi.Comm) error {
+	err := runWorld(world, func(c *comm) error {
 		return rankProgram(c, a, out, n, pr, pc, cfg.BlockSize)
 	})
 	finishWorldSpan(span, world, err)
@@ -121,7 +120,7 @@ func Invert(a *matrix.Dense, cfg Config) (*matrix.Dense, *Stats, error) {
 
 // finishWorldSpan closes a run span with the communicator's total and
 // per-rank volumes — the Tables 1-2 "Transfer" attribution per rank.
-func finishWorldSpan(span *obs.Span, world *mpi.World, err error) {
+func finishWorldSpan(span *obs.Span, world *commWorld, err error) {
 	if span == nil {
 		return
 	}
@@ -139,7 +138,7 @@ func finishWorldSpan(span *obs.Span, world *mpi.World, err error) {
 
 // grid holds one rank's view of the grid.
 type grid struct {
-	c          *mpi.Comm
+	c          *comm
 	n, pr, pc  int
 	bs         int
 	myRow      int
@@ -162,7 +161,7 @@ func (g *grid) tags() int {
 
 // rankProgram is the per-rank program: factorize, allgather the factors,
 // invert interleaved columns, gather the inverse at rank 0.
-func rankProgram(c *mpi.Comm, a, out *matrix.Dense, n, pr, pc, bs int) error {
+func rankProgram(c *comm, a, out *matrix.Dense, n, pr, pc, bs int) error {
 	g := &grid{
 		c: c, n: n, pr: pr, pc: pc, bs: bs,
 		myRow: c.Rank() / pc, myCol: c.Rank() % pc,

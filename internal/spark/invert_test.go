@@ -130,18 +130,18 @@ func TestSparkPartialEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalBefore := ctx.Computes()
+	totalBefore := computes(ctx)
 	// Evict one partition from the first stage only.
 	iv.Stages[0].Evict(1)
 	l1, err := f.assembleL()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recomputed := ctx.Computes() - totalBefore
+	recomputed := computes(ctx) - totalBefore
 	if recomputed == 0 {
 		t.Fatal("lost partition not recomputed")
 	}
-	if recomputed > iv.Stages[0].NumPartitions() {
+	if recomputed > iv.Stages[0].numParts {
 		t.Fatalf("recomputed %d partitions for a single loss", recomputed)
 	}
 	if !matrix.Equal(l0, l1, 0) {

@@ -31,12 +31,6 @@ import (
 // blocks directly — Spark-style "in-memory objects", no serialization.
 type Record any
 
-// KV is the key/value record used by shuffle transformations.
-type KV struct {
-	Key   string
-	Value Record
-}
-
 // Context owns a logical cluster: a worker pool and the counters used by
 // tests and reports.
 type Context struct {
@@ -56,9 +50,6 @@ func NewContext(workers int) *Context {
 	}
 	return &Context{workers: workers}
 }
-
-// Computes returns the number of partition computations performed.
-func (c *Context) Computes() int { c.mu.Lock(); defer c.mu.Unlock(); return c.computes }
 
 // Recomputes returns how many computations were lineage-driven
 // recomputations of previously cached partitions.
@@ -149,9 +140,6 @@ func (c *Context) Range(name string, n, parts int) *RDD {
 	return c.Parallelize(name, items, parts)
 }
 
-// NumPartitions returns the partition count.
-func (r *RDD) NumPartitions() int { return r.numParts }
-
 // Name returns the RDD's debug name.
 func (r *RDD) Name() string { return r.name }
 
@@ -172,114 +160,11 @@ func (r *RDD) Map(name string, f func(Record) (Record, error)) *RDD {
 		})
 }
 
-// Filter keeps records for which f returns true (narrow dependency).
-func (r *RDD) Filter(name string, f func(Record) bool) *RDD {
-	return r.ctx.newRDD(name, r.numParts, []Dep{{RDD: r, Kind: Narrow}},
-		func(p int, deps [][]Record) ([]Record, error) {
-			var out []Record
-			for _, rec := range deps[0] {
-				if f(rec) {
-					out = append(out, rec)
-				}
-			}
-			return out, nil
-		})
-}
-
 // MapPartitions transforms a whole partition at once (narrow dependency).
 func (r *RDD) MapPartitions(name string, f func(p int, in []Record) ([]Record, error)) *RDD {
 	return r.ctx.newRDD(name, r.numParts, []Dep{{RDD: r, Kind: Narrow}},
 		func(p int, deps [][]Record) ([]Record, error) {
 			return f(p, deps[0])
-		})
-}
-
-// FlatMap applies f to every record and concatenates the results (narrow
-// dependency).
-func (r *RDD) FlatMap(name string, f func(Record) ([]Record, error)) *RDD {
-	return r.ctx.newRDD(name, r.numParts, []Dep{{RDD: r, Kind: Narrow}},
-		func(p int, deps [][]Record) ([]Record, error) {
-			var out []Record
-			for _, rec := range deps[0] {
-				vs, err := f(rec)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, vs...)
-			}
-			return out, nil
-		})
-}
-
-// Union concatenates two RDDs: the result has the partitions of r followed
-// by the partitions of o.
-func (r *RDD) Union(name string, o *RDD) *RDD {
-	split := r.numParts
-	return r.ctx.newRDD(name, r.numParts+o.numParts,
-		[]Dep{{RDD: r, Kind: Wide}, {RDD: o, Kind: Wide}},
-		func(p int, deps [][]Record) ([]Record, error) {
-			// Wide deps deliver all records; carve out this partition's
-			// share by recomputing the source partition bounds.
-			if p < split {
-				return r.sliceOfAll(deps[0], p)
-			}
-			return o.sliceOfAll(deps[1], p-split)
-		})
-}
-
-// sliceOfAll extracts partition p's records from the concatenation of all
-// partitions, using the source RDD's own partition sizes.
-func (r *RDD) sliceOfAll(all []Record, p int) ([]Record, error) {
-	off := 0
-	for q := 0; q < p; q++ {
-		recs, err := r.partition(q)
-		if err != nil {
-			return nil, err
-		}
-		off += len(recs)
-	}
-	recs, err := r.partition(p)
-	if err != nil {
-		return nil, err
-	}
-	if off+len(recs) > len(all) {
-		return nil, fmt.Errorf("spark: union slice out of range")
-	}
-	return all[off : off+len(recs)], nil
-}
-
-// ReduceByKey groups KV records by key across all partitions and merges
-// values with f (wide dependency: a shuffle). Output partition p holds the
-// keys hashing to p, sorted deterministically by insertion of first key
-// occurrence in partition order.
-func (r *RDD) ReduceByKey(name string, parts int, f func(a, b Record) Record) *RDD {
-	if parts < 1 {
-		parts = r.numParts
-	}
-	return r.ctx.newRDD(name, parts, []Dep{{RDD: r, Kind: Wide}},
-		func(p int, deps [][]Record) ([]Record, error) {
-			var order []string
-			acc := map[string]Record{}
-			for _, rec := range deps[0] {
-				kv, ok := rec.(KV)
-				if !ok {
-					return nil, fmt.Errorf("spark: ReduceByKey over non-KV record %T", rec)
-				}
-				if hashString(kv.Key)%parts != p {
-					continue
-				}
-				if prev, seen := acc[kv.Key]; seen {
-					acc[kv.Key] = f(prev, kv.Value)
-				} else {
-					acc[kv.Key] = kv.Value
-					order = append(order, kv.Key)
-				}
-			}
-			out := make([]Record, 0, len(order))
-			for _, k := range order {
-				out = append(out, KV{Key: k, Value: acc[k]})
-			}
-			return out, nil
 		})
 }
 
@@ -423,12 +308,4 @@ func (r *RDD) Count() (int, error) {
 		return 0, err
 	}
 	return len(recs), nil
-}
-
-func hashString(s string) int {
-	h := 2166136261
-	for i := 0; i < len(s); i++ {
-		h = (h ^ int(s[i])) * 16777619 & 0x7fffffff
-	}
-	return h
 }

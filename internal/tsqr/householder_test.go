@@ -1,4 +1,4 @@
-package qr
+package tsqr
 
 import (
 	"errors"
@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/workload"
 )
@@ -33,49 +32,9 @@ func upperTriangular(t *testing.T, r *matrix.Dense, tol float64) {
 	}
 }
 
-func TestGramSchmidt(t *testing.T) {
-	a := workload.Random(12, 41)
-	f, err := GramSchmidt(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orthonormalColumns(t, f.Q, 1e-10)
-	upperTriangular(t, f.R, 0)
-	qr, err := matrix.Mul(f.Q, f.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(qr, a); d > 1e-10 {
-		t.Fatalf("QR != A by %g", d)
-	}
-}
-
-func TestGramSchmidtRectangular(t *testing.T) {
-	a := workload.RandomRect(10, 4, 42)
-	f, err := GramSchmidt(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orthonormalColumns(t, f.Q, 1e-10)
-	qr, _ := matrix.Mul(f.Q, f.R)
-	if d := matrix.MaxAbsDiff(qr, a); d > 1e-10 {
-		t.Fatalf("QR != A by %g", d)
-	}
-	if _, err := GramSchmidt(workload.RandomRect(3, 5, 1)); err == nil {
-		t.Fatal("wide matrix accepted")
-	}
-}
-
-func TestGramSchmidtSingular(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := GramSchmidt(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestHouseholder(t *testing.T) {
 	a := workload.Random(15, 43)
-	f, err := Householder(a)
+	f, err := householder(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +48,7 @@ func TestHouseholder(t *testing.T) {
 
 // Only wide matrices (cols > rows) are rejected; tall ones get a thin QR.
 func TestHouseholderNotSquare(t *testing.T) {
-	if _, err := Householder(matrix.New(3, 4)); !errors.Is(err, ErrNotSquare) {
+	if _, err := householder(matrix.New(3, 4)); !errors.Is(err, ErrNotTall) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -98,7 +57,7 @@ func TestHouseholderTall(t *testing.T) {
 	for _, dims := range [][2]int{{8, 3}, {20, 5}, {7, 6}, {9, 1}} {
 		m, n := dims[0], dims[1]
 		a := workload.RandomRect(m, n, int64(100*m+n))
-		f, err := Householder(a)
+		f, err := householder(a)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", m, n, err)
 		}
@@ -118,45 +77,11 @@ func TestHouseholderTall(t *testing.T) {
 	}
 }
 
-func TestInvertResidualAndAgreement(t *testing.T) {
-	a := workload.Random(20, 44)
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := matrix.IdentityResidual(a, inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > 1e-9 {
-		t.Fatalf("residual %g", res)
-	}
-	viaLU, err := lu.Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(inv, viaLU); d > 1e-8 {
-		t.Fatalf("QR and LU inverses differ by %g", d)
-	}
-}
-
-func TestInvertSingular(t *testing.T) {
-	if _, err := Invert(matrix.New(4, 4)); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSequentialSteps(t *testing.T) {
-	if SequentialSteps(64) != 64 {
-		t.Fatalf("steps = %d", SequentialSteps(64))
-	}
-}
-
 func TestQuickHouseholderReconstructs(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%12) + 1
 		a := workload.DiagonallyDominant(n, seed)
-		fac, err := Householder(a)
+		fac, err := householder(a)
 		if err != nil {
 			return false
 		}

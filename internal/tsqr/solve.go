@@ -9,7 +9,6 @@ import (
 	"repro/internal/lu"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
-	"repro/internal/qr"
 )
 
 // The apply rounds: once the factor round has left Q_i / Q2_i in the
@@ -284,7 +283,7 @@ func SequentialLstsq(a, b *matrix.Dense) (*matrix.Dense, error) {
 		}
 		return nil, fmt.Errorf("A %dx%d, b %dx%d: %w", a.Rows, a.Cols, br, bc, ErrShapeMismatch)
 	}
-	f, err := qr.Householder(a)
+	f, err := householder(a)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +303,7 @@ func SequentialPInv(a *matrix.Dense) (*matrix.Dense, error) {
 	if err := ValidateTall(a); err != nil {
 		return nil, err
 	}
-	f, err := qr.Householder(a)
+	f, err := householder(a)
 	if err != nil {
 		return nil, err
 	}

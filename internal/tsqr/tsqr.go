@@ -34,7 +34,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/qr"
 )
 
 // Typed errors. They map to HTTP 422 in the serving layer: semantically
@@ -55,7 +54,8 @@ var (
 	ErrResidual = errors.New("tsqr: least-squares residual guardrail exceeded")
 )
 
-// rankTol matches internal/qr's rank tolerance.
+// rankTol is the relative size below which a diagonal entry of R counts
+// as zero.
 const rankTol = 1e-12
 
 // DefaultResidualTol is the least-squares guardrail: the relative
@@ -254,7 +254,7 @@ func (e *Engine) factor(ctx context.Context, a *matrix.Dense, b int, root string
 			if err != nil {
 				return err
 			}
-			f, err := qr.Householder(ai)
+			f, err := householder(ai)
 			if err != nil {
 				return err
 			}
@@ -281,7 +281,7 @@ func (e *Engine) factor(ctx context.Context, a *matrix.Dense, b int, root string
 				}
 				stacked.SetBlock(i*n, 0, ri)
 			}
-			f, err := qr.Householder(stacked)
+			f, err := householder(stacked)
 			if err != nil {
 				return err
 			}

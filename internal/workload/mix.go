@@ -117,9 +117,9 @@ type Mix struct {
 	DeltaRank int
 }
 
-// DefaultMix is a serving-scale mix: mostly small matrices with a heavy
+// defaultMix is a serving-scale mix: mostly small matrices with a heavy
 // tail, one request in four repeating recent work.
-func DefaultMix() Mix {
+func defaultMix() Mix {
 	return Mix{
 		Entries: []MixEntry{{Order: 24, Weight: 0.5}, {Order: 40, Weight: 0.3}, {Order: 64, Weight: 0.2}},
 		DupProb: 0.25,
@@ -194,7 +194,7 @@ func (m Mix) Stream(seed int64) *MixStream {
 		m.History = 8
 	}
 	if len(m.Entries) == 0 {
-		m.Entries = DefaultMix().Entries
+		m.Entries = defaultMix().Entries
 	}
 	// Sort by shape so the cumulative table (and hence the stream) does
 	// not depend on caller-side entry ordering of the same distribution.

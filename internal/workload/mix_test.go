@@ -245,7 +245,7 @@ func TestMixHotKeysComposeWithTallShapes(t *testing.T) {
 }
 
 func TestMixWithoutHotKeysUnchanged(t *testing.T) {
-	for _, sp := range DefaultMix().Stream(1).Take(500) {
+	for _, sp := range defaultMix().Stream(1).Take(500) {
 		if sp.Hot {
 			t.Fatal("Hot spec from a mix with no hot keys")
 		}

@@ -188,14 +188,6 @@ func ProjectionMatrix(pixels int, seed int64) *matrix.Dense {
 	return m
 }
 
-// Orthogonal returns a random n x n orthogonal matrix built from a
-// product of n random Householder reflections. Orthogonal matrices have
-// condition number 1, so inversion (= transposition) is maximally stable —
-// the opposite end of the spectrum from Hilbert.
-func Orthogonal(n int, seed int64) *matrix.Dense {
-	return orthonormalRows(n, n, rand.New(rand.NewSource(seed)))
-}
-
 // orthonormalRows returns an r x c matrix (r <= c) with orthonormal rows:
 // the first r rows of a product of c random Householder reflections.
 func orthonormalRows(r, c int, rng *rand.Rand) *matrix.Dense {
@@ -250,44 +242,6 @@ func Graded(m, n int, kappa float64, seed int64) *matrix.Dense {
 		panic(err)
 	}
 	return a
-}
-
-// Banded returns a random diagonally dominant band matrix with the given
-// half-bandwidth: a_ij = 0 whenever |i-j| > halfBand.
-func Banded(n, halfBand int, seed int64) *matrix.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	m := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		var off float64
-		for j := maxI(0, i-halfBand); j <= minI(n-1, i+halfBand); j++ {
-			if j == i {
-				continue
-			}
-			v := 2*rng.Float64() - 1
-			m.Set(i, j, v)
-			if v < 0 {
-				off -= v
-			} else {
-				off += v
-			}
-		}
-		m.Set(i, i, off+1)
-	}
-	return m
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Hilbert returns the n x n Hilbert matrix H[i][j] = 1/(i+j+1): the
