@@ -94,11 +94,11 @@ func AutoInvert(a *Matrix, cluster ClusterSpec, nb int) (*Matrix, EngineChoice, 
 	// inputs.
 	nodes := cluster.Nodes
 	if nodes > a.Rows {
-		nodes = maxInt(2, a.Rows)
+		nodes = max(2, a.Rows)
 	}
 	execNB := nb
 	if execNB > a.Rows {
-		execNB = maxInt(16, a.Rows/2)
+		execNB = max(16, a.Rows/2)
 	}
 	switch choice.Engine {
 	case costmodel.EngineLocal:
@@ -131,11 +131,4 @@ func invertWithFallback(a *Matrix, opts Options) (*Matrix, bool, error) {
 		return inv2, true, err2
 	}
 	return inv, false, err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

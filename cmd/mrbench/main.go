@@ -577,7 +577,7 @@ func accRows() ([]accRow, error) {
 	for _, order := range []int{64, 128, 256} {
 		a := mrinverse.Random(order, int64(order))
 		opts := mrinverse.DefaultOptions(4)
-		opts.NB = maxInt(16, order/8)
+		opts.NB = max(16, order/8)
 		inv, _, err := mrinverse.Invert(a, opts)
 		if err != nil {
 			return nil, fmt.Errorf("acc n=%d: %w", order, err)
@@ -601,13 +601,6 @@ func acc(bool, int, int) {
 		}
 		fmt.Printf("n=%4d  max|I-MM⁻¹| = %-10.3g (< 1e-5: %s)\n", r.N, r.Residual, status)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // nbRow is one bound value of the Section 5 tuning sweep on the paper's

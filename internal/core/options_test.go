@@ -90,7 +90,7 @@ func TestFactorPair(t *testing.T) {
 		if f1 != c.f1 || f2 != c.f2 {
 			t.Errorf("FactorPair(%d) = (%d, %d), want (%d, %d)", c.m0, f1, f2, c.f1, c.f2)
 		}
-		if f1*f2 != maxIntc(c.m0, 1) {
+		if f1*f2 != max(c.m0, 1) {
 			t.Errorf("FactorPair(%d): product %d", c.m0, f1*f2)
 		}
 	}

@@ -132,7 +132,7 @@ func (p *partitioner) descend(dir string, n int, band *matrix.Dense, bandOff int
 	h := splitPoint(n)
 	mhalf := p.opts.Nodes / 2
 	if r0 < h {
-		topHi := minInt(r1, h)
+		topHi := min(r1, h)
 		top := band.Block(0, topHi-r0, 0, band.Cols)
 		// Recurse into A1 with the top-left part of the band.
 		p.descend(dir+"/A1", h, top.Block(0, top.Rows, 0, h), r0)
@@ -148,7 +148,7 @@ func (p *partitioner) descend(dir string, n int, band *matrix.Dense, bandOff int
 		}
 	}
 	if r1 > h {
-		botLo := maxIntc(r0, h)
+		botLo := max(r0, h)
 		bot := band.Block(botLo-r0, band.Rows, 0, band.Cols)
 		// A3: one row-band file per mapper (Algorithm 3 lines 14-18).
 		p.save(fmt.Sprintf("%s/A3/A.%d", dir, p.mapperID), bot.Block(0, bot.Rows, 0, h), botLo-h, r1-h, 0, h)
@@ -238,20 +238,6 @@ func sortBlocks(blocks []blockFile) {
 		}
 		return blocks[i].Path < blocks[j].Path
 	})
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxIntc(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeInputBands stores the input matrix as m0 row-band files under

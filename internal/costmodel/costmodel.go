@@ -322,10 +322,3 @@ func scalapackTime(c Cluster, n int) time.Duration {
 func secs(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -102,10 +102,3 @@ func ChooseUpdate(c Cluster, n, k, nb, queued int) UpdateChoice {
 func scale(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -51,8 +53,8 @@ var ErrNodeLost = errors.New("mapreduce: node lost during attempt")
 //
 // The engine consults it at three points:
 //
-//   - workers skip dead nodes (NodeAlive) instead of launching attempts
-//     there, the way a JobTracker stops granting slots on a lost tracker;
+//   - workers on dead nodes (NodeAlive) claim no task attempts, the way
+//     a JobTracker stops granting slots on a lost tracker;
 //   - every task attempt calls AttemptStart when it begins — the injector
 //     may delay the attempt (straggler injection) or fail it outright
 //     (crash injection) — and on completion the attempt is failed with
@@ -164,7 +166,8 @@ type Job struct {
 	// input. The scheduler practices delay scheduling: a worker on a
 	// non-preferred node defers such a task (a bounded number of times)
 	// so a local worker can pick it up, reproducing Hadoop's data-local
-	// task placement.
+	// task placement. A deferral is one skipped scheduling opportunity:
+	// an idle worker passing the task over while it looks for work.
 	Prefer func(task int) []int
 	// PreferReduce, when non-nil, lists the datanodes that should run
 	// reduce task r — the reduce-side counterpart of Prefer. The
@@ -599,8 +602,9 @@ func (c *Cluster) finishJobObs(jobSpan *obs.Span, res *JobResult, fsBefore dfs.S
 // its counters.
 type taskFn func(task, attempt, node int) (any, map[string]int64, error)
 
-// deferBudgetPerSlot bounds how many times a task may be deferred for
-// locality before any worker runs it (Hadoop's delay-scheduling timeout).
+// deferBudgetPerSlot bounds how many scheduling opportunities a task may
+// skip for locality before any worker runs it (Hadoop's delay-scheduling
+// timeout).
 const deferBudgetPerSlot = 8
 
 // phaseResult carries one phase's outcome. nodes, epochs, and perTask
@@ -627,6 +631,12 @@ type phaseResult struct {
 // (named "<label>:<task>") on its node's track. Cancellation of ctx stops
 // workers from launching further task attempts; attempts already running
 // finish in the background without touching the phase result.
+//
+// Pending tries sit in one FIFO list under the phase lock. An idle
+// worker claims a try and only then acquires a slot, so a deferral never
+// touches the SlotPool; a worker with nothing to claim parks on the wake
+// channel, closed and replaced whenever an enqueue or an attempt end
+// leaves tries pending.
 func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempts int, prefer func(task int) []int, strict bool, phaseSpan *obs.Span, label string, run taskFn) (*phaseResult, error) {
 	pr := &phaseResult{
 		results:  make([]any, n),
@@ -638,33 +648,20 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 	if n == 0 {
 		return pr, nil
 	}
-	type try struct {
-		id       int
-		attempt  int
-		deferred int
-	}
-	work := make(chan try, n*(maxAttempts+3)+16)
-	for i := 0; i < n; i++ {
-		work <- try{id: i, attempt: 0}
-	}
+	type try struct{ id, attempt, deferred int }
 	deferBudget := deferBudgetPerSlot * c.Slots
 	isPreferred := func(task, node int) bool {
 		if prefer == nil {
 			return true
 		}
 		nodes := prefer(task)
-		if len(nodes) == 0 {
-			return true
-		}
-		for _, p := range nodes {
-			if p == node {
-				return true
-			}
-		}
-		return false
+		return len(nodes) == 0 || slices.Contains(nodes, node)
 	}
 	var (
 		mu        sync.Mutex
+		pending   = make([]try, n) // FIFO of unclaimed tries
+		inflight  int              // claimed tries whose attempt has not ended
+		wake      = make(chan struct{})
 		done      = make([]bool, n)
 		running   = make([]int, n)
 		started   = make([]time.Time, n)
@@ -675,6 +672,50 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 		fatal     error
 		closed    bool // phase finished; stragglers must not touch pr
 	)
+	for i := range pending {
+		pending[i].id = i
+	}
+	// notify wakes every parked worker to re-scan pending, unless nothing
+	// is pending to claim. Callers hold mu.
+	notify := func() {
+		if len(pending) == 0 {
+			return
+		}
+		close(wake)
+		wake = make(chan struct{})
+	}
+	// claim takes the first pending try that prefers node or, failing
+	// that, the first whose deferral budget is spent. Every try passed
+	// over counts one deferral: one skipped scheduling opportunity, the
+	// unit of Hadoop's delay scheduling. Callers hold mu.
+	claim := func(node int) (try, bool) {
+		pick, local := -1, false
+		for i := 0; i < len(pending) && !local; i++ {
+			t := pending[i]
+			switch {
+			case done[t.id]: // a faster attempt already won
+				pending = append(pending[:i], pending[i+1:]...)
+				i--
+			case isPreferred(t.id, node):
+				pick, local = i, true
+			case pick < 0 && !(t.deferred < deferBudget || strict && c.strictSatisfiable(prefer(t.id))):
+				pick = i
+			}
+		}
+		passed := pending
+		if pick >= 0 {
+			passed = pending[:pick]
+		}
+		for i := range passed {
+			passed[i].deferred++
+		}
+		if pick < 0 {
+			return try{}, false
+		}
+		t := pending[pick]
+		pending = append(pending[:pick], pending[pick+1:]...)
+		return t, true
+	}
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	closeStop := func() { stopOnce.Do(func() { close(stop) }) }
@@ -682,138 +723,135 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 	for s := 0; s < c.Slots; s++ {
 		go func(node int) {
 			for {
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				case t := <-work:
-					mu.Lock()
-					if done[t.id] || fatal != nil {
-						mu.Unlock()
-						continue
-					}
+				// A dead node claims nothing, like a JobTracker that stops
+				// granting slots on a lost TaskTracker; its worker waits
+				// for the next wake to look again.
+				alive := c.Faults == nil || c.Faults.NodeAlive(node)
+				mu.Lock()
+				if closed || fatal != nil {
 					mu.Unlock()
-					// A dead node runs nothing: its worker surrenders the
-					// task (briefly parking, like delay scheduling) so a
-					// live node's worker picks it up — no attempt is
-					// consumed, mirroring a JobTracker that simply stops
-					// granting slots on a lost TaskTracker.
-					if c.Faults != nil && !c.Faults.NodeAlive(node) {
-						work <- t
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					// Every attempt executes while holding a cluster-wide
-					// slot, so concurrent jobs on one cluster never exceed
-					// Slots executing attempts in total. The worker's node
-					// identity stays fixed (as in the single-job engine);
-					// the slot is purely the capacity token.
-					slot, _, ok := sj.Acquire(ctx, stop)
-					if !ok {
-						// Phase over or job canceled while queued.
-						return
-					}
-					mu.Lock()
-					if done[t.id] || fatal != nil {
-						mu.Unlock()
-						sj.Release(slot)
-						continue
-					}
-					// Delay scheduling: give a local worker a chance. The
-					// short sleep is the "delay" — budget expiry must cost
-					// wall-clock time, or a busy local worker never gets
-					// its turn before the budget burns out. The slot goes
-					// back to the pool while we wait, so deferral never
-					// idles shared cluster capacity.
-					if !isPreferred(t.id, node) &&
-						(t.deferred < deferBudget || strict && c.strictSatisfiable(prefer(t.id))) {
-						mu.Unlock()
-						sj.Release(slot)
-						t.deferred++
-						work <- t
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					running[t.id]++
-					if running[t.id] == 1 {
-						started[t.id] = time.Now() //mrlint:allow determinism(time.Now) -- speculative-execution timing only; which attempt wins never changes task output
-					}
+					return
+				}
+				var t try
+				ok := false
+				if alive {
+					t, ok = claim(node)
+				}
+				parked := wake
+				if ok {
+					inflight++
+				} else if alive && inflight == 0 && len(pending) > 0 {
+					// Only deferred tries are left and no attempt will end
+					// to wake anyone: yield and re-scan. Each re-scan spends
+					// one deferral, so the budget (under StrictLocality, the
+					// preferred worker's claim) ends the loop; the wake lets
+					// a parked worker on a revived node look again.
+					notify()
 					mu.Unlock()
-
-					var taskSpan *obs.Span
-					if phaseSpan != nil {
-						//mrlint:allow obsnames -- per-task trace spans carry the task id; bounded by the phase's task count
-						taskSpan = phaseSpan.Child(label+":"+strconv.Itoa(t.id), obs.KindTask)
-						taskSpan.SetTrack(node)
-						taskSpan.SetAttr("attempt", int64(t.attempt))
-						if t.attempt >= maxAttempts {
-							taskSpan.SetLabel("speculative", "true")
-						}
+					runtime.Gosched()
+					continue
+				}
+				mu.Unlock()
+				if !ok {
+					select {
+					case <-parked:
+						continue
+					case <-stop:
+					case <-ctx.Done():
 					}
-					// The node's epoch is read before AttemptStart so a
-					// kill fired by this very attempt's start is seen as
-					// an epoch change and fails the attempt.
-					var fpEpoch int64
-					var fpDelay time.Duration
-					var fpErr error
-					if c.Faults != nil {
-						fpEpoch = c.Faults.NodeEpoch(node)
-						fpDelay, fpErr = c.Faults.AttemptStart(sj.name, t.id, t.attempt, node, label == "map")
-					}
-					begin := time.Now() //mrlint:allow determinism(time.Now) -- per-task duration for speculation medians and spans; not part of task output
-					var result any
-					var counters map[string]int64
-					var err error
-					if fpErr != nil {
-						err = fpErr
-					} else {
-						if fpDelay > 0 {
-							time.Sleep(fpDelay)
-						}
-						result, counters, err = runSafely(func() (any, map[string]int64, error) {
-							return run(t.id, t.attempt, node)
-						})
-						if err == nil && c.Faults != nil && (!c.Faults.NodeAlive(node) || c.Faults.NodeEpoch(node) != fpEpoch) {
-							err = fmt.Errorf("%s task %d attempt %d on node %d: %w", label, t.id, t.attempt, node, ErrNodeLost)
-						}
-					}
-					if taskSpan != nil {
-						if err != nil {
-							taskSpan.SetLabel("error", err.Error())
-						}
-						taskSpan.Finish()
-					}
+					return
+				}
+				// Every attempt executes while holding a cluster-wide
+				// slot, so concurrent jobs on one cluster never exceed
+				// Slots executing attempts in total. The worker's node
+				// identity stays fixed (as in the single-job engine);
+				// the slot is purely the capacity token.
+				slot, _, ok := sj.Acquire(ctx, stop)
+				if !ok {
+					// Phase over or job canceled while queued.
+					return
+				}
+				mu.Lock()
+				if done[t.id] || fatal != nil {
+					inflight--
+					notify()
+					mu.Unlock()
 					sj.Release(slot)
-					if c.Metrics != nil {
-						c.Metrics.Histogram("mapreduce.task_latency").Observe(time.Since(begin))
-					}
+					continue
+				}
+				running[t.id]++
+				if running[t.id] == 1 {
+					started[t.id] = time.Now() //mrlint:allow determinism(time.Now) -- speculative-execution timing only; which attempt wins never changes task output
+				}
+				mu.Unlock()
 
-					mu.Lock()
-					running[t.id]--
-					if closed {
-						mu.Unlock() // phase already over; abandoned attempt
-						return
+				var taskSpan *obs.Span
+				if phaseSpan != nil {
+					//mrlint:allow obsnames -- per-task trace spans carry the task id; bounded by the phase's task count
+					taskSpan = phaseSpan.Child(label+":"+strconv.Itoa(t.id), obs.KindTask)
+					taskSpan.SetTrack(node)
+					taskSpan.SetAttr("attempt", int64(t.attempt))
+					if t.attempt >= maxAttempts {
+						taskSpan.SetLabel("speculative", "true")
 					}
-					if done[t.id] {
-						mu.Unlock() // a faster attempt already won
-						continue
+				}
+				// The node's epoch is read before AttemptStart so a
+				// kill fired by this very attempt's start is seen as
+				// an epoch change and fails the attempt.
+				var fpEpoch int64
+				var fpDelay time.Duration
+				var fpErr error
+				if c.Faults != nil {
+					fpEpoch = c.Faults.NodeEpoch(node)
+					fpDelay, fpErr = c.Faults.AttemptStart(sj.name, t.id, t.attempt, node, label == "map")
+				}
+				begin := time.Now() //mrlint:allow determinism(time.Now) -- per-task duration for speculation medians and spans; not part of task output
+				var result any
+				var counters map[string]int64
+				var err error
+				if fpErr != nil {
+					err = fpErr
+				} else {
+					if fpDelay > 0 {
+						time.Sleep(fpDelay)
 					}
+					result, counters, err = runSafely(func() (any, map[string]int64, error) {
+						return run(t.id, t.attempt, node)
+					})
+					if err == nil && c.Faults != nil && (!c.Faults.NodeAlive(node) || c.Faults.NodeEpoch(node) != fpEpoch) {
+						err = fmt.Errorf("%s task %d attempt %d on node %d: %w", label, t.id, t.attempt, node, ErrNodeLost)
+					}
+				}
+				if taskSpan != nil {
 					if err != nil {
-						pr.failures++
-						failCount[t.id]++
-						if failCount[t.id] >= maxAttempts {
-							if running[t.id] == 0 && fatal == nil {
-								fatal = fmt.Errorf("task %d attempt %d: %v: %w", t.id, t.attempt, err, ErrTooManyFailures)
-								closeStop()
-							}
-							mu.Unlock()
-							continue
-						}
-						mu.Unlock()
-						work <- try{id: t.id, attempt: t.attempt + 1}
-						continue
+						taskSpan.SetLabel("error", err.Error())
 					}
+					taskSpan.Finish()
+				}
+				sj.Release(slot)
+				if c.Metrics != nil {
+					c.Metrics.Histogram("mapreduce.task_latency").Observe(time.Since(begin))
+				}
+
+				mu.Lock()
+				running[t.id]--
+				inflight--
+				if closed {
+					mu.Unlock() // phase already over; abandoned attempt
+					return
+				}
+				switch {
+				case done[t.id]: // a faster attempt already won
+				case err != nil:
+					pr.failures++
+					failCount[t.id]++
+					if failCount[t.id] < maxAttempts {
+						pending = append(pending, try{id: t.id, attempt: t.attempt + 1})
+					} else if running[t.id] == 0 && fatal == nil {
+						fatal = fmt.Errorf("task %d attempt %d: %v: %w", t.id, t.attempt, err, ErrTooManyFailures)
+						closeStop()
+					}
+				default:
 					done[t.id] = true
 					pr.results[t.id] = result
 					pr.perTask[t.id] = counters
@@ -827,10 +865,11 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 					if remaining == 0 {
 						closeStop()
 					}
-					mu.Unlock()
 				}
+				notify()
+				mu.Unlock()
 			}
-		}(s % maxInt(1, c.nodesForScheduling()))
+		}(s % max(1, c.nodesForScheduling()))
 	}
 
 	// Speculative monitor: duplicate stragglers onto idle capacity.
@@ -865,8 +904,8 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 						}
 						specDone[i] = true
 						pr.speculative++
-						//mrlint:allow lockscope(send) -- work is sized n*(maxAttempts+3)+16, enough for every possible enqueue; the send can never block
-						work <- try{id: i, attempt: maxAttempts} // distinct attempt id
+						pending = append(pending, try{id: i, attempt: maxAttempts}) // distinct attempt id
+						notify()
 					}
 					mu.Unlock()
 				}
@@ -1021,7 +1060,7 @@ func median(xs []float64) float64 {
 // does, the preference is waived so strict jobs fall back like an
 // expired delay budget instead of deadlocking.
 func (c *Cluster) strictSatisfiable(nodes []int) bool {
-	workers := maxInt(1, c.nodesForScheduling())
+	workers := max(1, c.nodesForScheduling())
 	if c.Slots < workers {
 		workers = c.Slots
 	}
@@ -1060,13 +1099,6 @@ func runSafely(f func() (any, map[string]int64, error)) (result any, counters ma
 
 func sortKVs(kvs []KV) {
 	sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Pipeline runs jobs sequentially, as the paper's Figure 2 chain of

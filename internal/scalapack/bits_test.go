@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	mrinverse "repro"
@@ -50,6 +51,42 @@ func TestGridInverseBits(t *testing.T) {
 				t.Errorf("%s n=%d p=%d bs=%d: %d bytes / %d messages, want %d / %d",
 					name, c.n, c.procs, c.bs, st.BytesTransferred, st.Messages, c.bytes, c.msgs)
 			}
+		}
+	}
+}
+
+// TestConcurrentInvertsKeepBits runs two inversions at once, each on its
+// own communicator: their stashes of out-of-order messages are separate,
+// so both return the pinned digests of TestGridInverseBits.
+func TestConcurrentInvertsKeepBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; other targets may fuse multiply-adds")
+	}
+	cases := []struct {
+		n, procs, bs int
+		digest       string
+	}{
+		{64, 4, 8, "d0d6486fdf16e10e"},
+		{96, 8, 16, "58ac544c3edaa0e8"},
+	}
+	var wg sync.WaitGroup
+	got := make([]string, len(cases))
+	for i, c := range cases {
+		wg.Add(1)
+		go func(i, n, procs, bs int) {
+			defer wg.Done()
+			inv, _, err := scalapack.Invert(workload.Random(n, 7), scalapack.Config{Procs: procs, BlockSize: bs})
+			if err != nil {
+				got[i] = err.Error()
+				return
+			}
+			got[i] = digest(inv)
+		}(i, c.n, c.procs, c.bs)
+	}
+	wg.Wait()
+	for i, c := range cases {
+		if got[i] != c.digest {
+			t.Errorf("n=%d p=%d bs=%d: digest %s, want %s", c.n, c.procs, c.bs, got[i], c.digest)
 		}
 	}
 }

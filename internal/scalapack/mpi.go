@@ -26,6 +26,9 @@ type message struct {
 type commWorld struct {
 	size   int
 	queues []chan message
+	// stash holds each rank's out-of-order messages. Only rank r's own
+	// goroutine receives for rank r, so stash[r] needs no lock.
+	stash [][]message
 
 	bytesSent  atomic.Int64
 	msgsSent   atomic.Int64
@@ -54,6 +57,7 @@ func newWorld(size int) *commWorld {
 	w := &commWorld{
 		size:       size,
 		queues:     make([]chan message, size),
+		stash:      make([][]message, size),
 		perRankTxB: make([]atomic.Int64, size),
 		perRankRxB: make([]atomic.Int64, size),
 		maxInbox:   1024,
@@ -141,39 +145,26 @@ func (c *comm) RecvInts(src, tag int) []int {
 	return m.ints
 }
 
-// pending holds out-of-order messages per rank. It lives in a map keyed by
-// rank inside commWorld to keep comm value-light; protected by pendMu.
-var (
-	pendMu  sync.Mutex
-	pending = map[*commWorld]map[int][]message{}
-)
-
+// recvMatch returns rank c's first message from src (any source when
+// src < 0) with tag, checking the stash before the queue and stashing
+// every non-matching arrival.
 func (c *comm) recvMatch(src, tag int) message {
-	// Check the stash first.
-	pendMu.Lock()
-	stash := pending[c.w]
-	if stash == nil {
-		stash = map[int][]message{}
-		pending[c.w] = stash
-	}
-	for i, m := range stash[c.rank] {
-		if (src < 0 || m.from == src) && m.tag == tag {
-			stash[c.rank] = append(stash[c.rank][:i], stash[c.rank][i+1:]...)
-			pendMu.Unlock()
+	match := func(m message) bool { return (src < 0 || m.from == src) && m.tag == tag }
+	stash := c.w.stash[c.rank]
+	for i, m := range stash {
+		if match(m) {
+			c.w.stash[c.rank] = append(stash[:i], stash[i+1:]...)
 			c.w.perRankRxB[c.rank].Add(msgBytes(m))
 			return m
 		}
 	}
-	pendMu.Unlock()
 	for {
 		m := <-c.w.queues[c.rank]
-		if (src < 0 || m.from == src) && m.tag == tag {
+		if match(m) {
 			c.w.perRankRxB[c.rank].Add(msgBytes(m))
 			return m
 		}
-		pendMu.Lock()
-		pending[c.w][c.rank] = append(pending[c.w][c.rank], m)
-		pendMu.Unlock()
+		c.w.stash[c.rank] = append(c.w.stash[c.rank], m)
 	}
 }
 
@@ -181,7 +172,6 @@ func (c *comm) recvMatch(src, tag int) message {
 // to finish, returning the first error. The caller keeps w to read its
 // counters afterwards.
 func runWorld(w *commWorld, fn func(c *comm) error) error {
-	defer cleanup(w)
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
@@ -198,10 +188,4 @@ func runWorld(w *commWorld, fn func(c *comm) error) error {
 		}
 	}
 	return nil
-}
-
-func cleanup(w *commWorld) {
-	pendMu.Lock()
-	delete(pending, w)
-	pendMu.Unlock()
 }
