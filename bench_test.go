@@ -163,7 +163,9 @@ func BenchmarkFig7BlockWrap(b *testing.B) {
 }
 
 // BenchmarkFig7TransposeU is the Section 6.3 ablation: transposed vs
-// row-major U storage (kernel-level memory locality).
+// row-major U storage. Only the storage orientation differs; the level
+// reducers form B with the row-dot kernel either way, and the kernel-level
+// gap is BenchmarkKernelMul/transB vs naive-ijk.
 func BenchmarkFig7TransposeU(b *testing.B) {
 	a := Random(benchOrder, 16)
 	for _, tr := range []bool{true, false} {

@@ -8,8 +8,12 @@
 //	chaosrun -n 192 -nb 48 -nodes 8 -kill 2 -seed 1 -restart -json
 //	chaosrun -kill 2 -assert          # CI smoke: nonzero exit on any miss
 //
-// The same seed always produces the same fault schedule and the same
-// inverse, so a chaosrun invocation is a reproducible regression artifact.
+// What a seed replays is the fault plan (its events and their logical
+// ticks) and the inverse bits: the faulty inverse is bit-identical to the
+// fault-free one. The injected-fault counts are not replayed: the chaos
+// clock ticks on attempt starts and shuffle fetches, whose order depends
+// on scheduling, so the same seed can report different fetch-error,
+// task-failure and healed-replica counts from run to run.
 package main
 
 import (

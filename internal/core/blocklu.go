@@ -151,126 +151,20 @@ type levelResult struct {
 	bRef matRef
 }
 
-// runLevelJob executes the MapReduce job of one internal node: mappers
-// j < m0/2 compute L2' row bands, mappers j >= m0/2 compute U2 column
-// bands, and reducer j computes block j of B = A4 - L2'U2 (Figure 5).
+// runLevelJob executes the MapReduce job(s) of one internal node. Map
+// task t < m0/2 solves row band t of L2' and map task m0/2 + b column
+// band b of U2 (Equation 6); each band is stored as rho inner-segment
+// pieces placed on the nodes that read them. The plan's reducers then
+// form B = A4 - L2'U2 block by block on its g1 x g2 output grid: at
+// rho = 1 the Section 6.2 block wrap of Figure 5 in the same single job,
+// at rho >= 2 the multi-round strategies' extra rounds (runMulRounds).
 func (st *pipelineState) runLevelJob(node *nodeInput, h int, h1 *luHandle, a2ref, a3ref, a4ref matRef) (*levelResult, error) {
-	m0 := st.opts.Nodes
-	mhalf := m0 / 2
-	nbot := node.n - h
-	dir := node.dir
 	opts := st.opts
-	if pl := planMultiply(opts, nbot, h, nbot); pl.rho >= 2 {
-		// A multi-round strategy routes the B = A4 - L2'U2 product through
-		// the communication-optimal runner instead of the single job.
-		return st.runLevelJobMulti(node, h, h1, a2ref, a3ref, a4ref, pl)
-	}
-
-	// Band layout is deterministic, so the master can precompute the
-	// references the reducers and the next recursion level will read.
-	res := &levelResult{
-		l2: matRef{Rows: nbot, Cols: h},
-		u2: matRef{Rows: h, Cols: nbot},
-	}
-	for j := 0; j < mhalf; j++ {
-		if lo, hi := bandBounds(nbot, mhalf, j); lo != hi {
-			res.l2.Blocks = append(res.l2.Blocks, blockFile{
-				Path: fmt.Sprintf("%s/L2/L.%d", dir, j), R0: lo, R1: hi, C0: 0, C1: h,
-			})
-		}
-		if lo, hi := bandBounds(nbot, mhalf, j); lo != hi {
-			res.u2.Blocks = append(res.u2.Blocks, blockFile{
-				Path: fmt.Sprintf("%s/U2/U.%d", dir, j), R0: 0, R1: h, C0: lo, C1: hi,
-				Transposed: opts.TransposeU,
-			})
-		}
-	}
-	f1, f2 := FactorPair(m0)
-	if !opts.BlockWrap {
-		f1, f2 = m0, 1
-	}
-	res.bRef = matRef{Rows: nbot, Cols: nbot}
-	for r := 0; r < m0; r++ {
-		rg, cg := r/f2, r%f2
-		rlo, rhi := bandBounds(nbot, f1, rg)
-		clo, chi := bandBounds(nbot, f2, cg)
-		if rlo == rhi || clo == chi {
-			continue
-		}
-		res.bRef.Blocks = append(res.bRef.Blocks, blockFile{
-			Path: fmt.Sprintf("%s/OUT/A.%d", dir, r), R0: rlo, R1: rhi, C0: clo, C1: chi,
-		})
-	}
-
-	job := &mapreduce.Job{
-		Name:      "lu:" + dir,
-		Splits:    mapreduce.ControlSplits(m0),
-		NumReduce: m0,
-		Priority:  st.opts.Priority,
-		Partition: func(key string, n int) int {
-			var v int
-			fmt.Sscanf(key, "%d", &v)
-			return v % n
-		},
-		Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
-			j := split.ID
-			rd := nodeReader{fs: ctx.FS, node: ctx.Node}
-			if j < mhalf {
-				if err := computeL2Band(rd, st, dir, j, mhalf, nbot, h1, a3ref); err != nil {
-					return err
-				}
-				if lo, hi := bandBounds(nbot, mhalf, j); hi > lo {
-					ctx.IncrCounter("l2.elements", int64(hi-lo)*int64(h))
-				}
-			} else {
-				if err := computeU2Band(rd, st, dir, j-mhalf, mhalf, nbot, h1, a2ref); err != nil {
-					return err
-				}
-				if lo, hi := bandBounds(nbot, mhalf, j-mhalf); hi > lo {
-					ctx.IncrCounter("u2.elements", int64(hi-lo)*int64(h))
-				}
-			}
-			emit.Emit(fmt.Sprintf("%d", j), nil)
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
-			var r int
-			if _, err := fmt.Sscanf(key, "%d", &r); err != nil {
-				return err
-			}
-			if err := computeBBlock(nodeReader{fs: ctx.FS, node: ctx.Node}, st, dir, r, f1, f2, nbot, a4ref, res); err != nil {
-				return err
-			}
-			rg, cg := r/f2, r%f2
-			rlo, rhi := bandBounds(nbot, f1, rg)
-			clo, chi := bandBounds(nbot, f2, cg)
-			if rhi > rlo && chi > clo {
-				ctx.IncrCounter("b.elements", int64(rhi-rlo)*int64(chi-clo))
-			}
-			return nil
-		},
-	}
-	job.TraceParent = st.span
-	jr, err := st.cluster.RunCtx(st.runCtx(), job)
-	if err != nil {
-		return nil, err
-	}
-	st.recordJob(jr)
-	return res, nil
-}
-
-// runLevelJobMulti executes one internal node's level with a multi-round
-// multiply strategy: the mappers of the first round solve the L2' / U2
-// fine bands exactly as runLevelJob's do, but store them as fine band x
-// inner-segment slices placed on their reader nodes, and the runner's
-// rounds compute B = A4 - L2'U2 block by block on the plan's g1 x g2
-// output grid.
-func (st *pipelineState) runLevelJobMulti(node *nodeInput, h int, h1 *luHandle, a2ref, a3ref, a4ref matRef, pl mulPlan) (*levelResult, error) {
-	m0 := st.opts.Nodes
+	m0 := opts.Nodes
 	mhalf := m0 / 2
 	nbot := node.n - h
 	dir := node.dir
-
+	pl := planMultiply(opts, nbot, h, nbot)
 	geom := mulGeom{
 		plan: pl, m0: m0,
 		rows: nbot, inner: h, cols: nbot,
@@ -278,149 +172,92 @@ func (st *pipelineState) runLevelJobMulti(node *nodeInput, h int, h1 *luHandle, 
 		durable: st.cluster.Faults != nil,
 	}
 
-	// The factor pieces tile L2' and U2 as fine band x segment slices, so
-	// the next recursion level's region reads and the final inversion see
-	// complete references; U2 slices are always stored transposed so the
-	// accumulation rounds use the Equation 8 row-dot kernel.
+	// pieces[t][s] is map task t's piece of inner segment s. The pieces
+	// tile L2' and U2, so the next recursion level's region reads and the
+	// final inversion see complete references. Each is placed on the
+	// owners of every output band its fine band overlaps (fine bands need
+	// not nest inside output bands when m0/2 is not a multiple of g1 or
+	// g2); the table is built once per level.
+	type piece struct {
+		path  string
+		nodes []int
+	}
 	res := &levelResult{
 		l2: matRef{Rows: nbot, Cols: h},
 		u2: matRef{Rows: h, Cols: nbot},
 	}
-	for b := 0; b < mhalf; b++ {
+	pieces := make([][]piece, m0)
+	for t := range pieces {
+		b, bands, outBand, readers, path := t, pl.g1, geom.rowBand, geom.aPieceReaders, dir+"/L2/L"
+		if t >= mhalf {
+			b, bands, outBand, readers, path = t-mhalf, pl.g2, geom.colBand, geom.btPieceReaders, dir+"/U2/U"
+		}
 		lo, hi := bandBounds(nbot, mhalf, b)
 		if lo == hi {
 			continue
 		}
-		for s := 0; s < pl.rho; s++ {
+		pieces[t] = make([]piece, pl.rho)
+		for s := range pieces[t] {
 			klo, khi := geom.seg(s)
 			if klo == khi {
 				continue
 			}
-			res.l2.Blocks = append(res.l2.Blocks, blockFile{
-				Path: fmt.Sprintf("%s/L2/L.%d.%d", dir, b, s), R0: lo, R1: hi, C0: klo, C1: khi,
-			})
-			res.u2.Blocks = append(res.u2.Blocks, blockFile{
-				Path: fmt.Sprintf("%s/U2/U.%d.%d", dir, b, s), R0: klo, R1: khi, C0: lo, C1: hi,
-				Transposed: true,
-			})
-		}
-	}
-	res.bRef = matRef{Rows: nbot, Cols: nbot}
-	for i := 0; i < pl.g1; i++ {
-		rlo, rhi := geom.rowBand(i)
-		if rlo == rhi {
-			continue
-		}
-		for j := 0; j < pl.g2; j++ {
-			clo, chi := geom.colBand(j)
-			if clo == chi {
-				continue
-			}
-			res.bRef.Blocks = append(res.bRef.Blocks, blockFile{
-				Path: fmt.Sprintf("%s/OUT/A.%d", dir, i*pl.g2+j), R0: rlo, R1: rhi, C0: clo, C1: chi,
-			})
-		}
-	}
-
-	// l2Readers / u2Readers list the nodes reading one fine piece: the
-	// owners of every coarse output band overlapping it (fine bands need
-	// not nest inside coarse bands when mhalf is not a multiple of g1).
-	l2Readers := func(lo, hi, s int) []int {
-		var nodes []int
-		seen := make(map[int]bool)
-		for i := 0; i < pl.g1; i++ {
-			rlo, rhi := geom.rowBand(i)
-			if rhi <= lo || rlo >= hi {
-				continue
-			}
-			for _, nd := range geom.aPieceReaders(i, s) {
-				if !seen[nd] {
-					seen[nd] = true
-					nodes = append(nodes, nd)
+			var nodes []int // distinct output bands have disjoint owners
+			for i := 0; i < bands; i++ {
+				if olo, ohi := outBand(i); olo < hi && ohi > lo {
+					nodes = append(nodes, readers(i, s)...)
 				}
 			}
-		}
-		return nodes
-	}
-	u2Readers := func(lo, hi, s int) []int {
-		var nodes []int
-		seen := make(map[int]bool)
-		for j := 0; j < pl.g2; j++ {
-			clo, chi := geom.colBand(j)
-			if chi <= lo || clo >= hi {
-				continue
-			}
-			for _, nd := range geom.btPieceReaders(j, s) {
-				if !seen[nd] {
-					seen[nd] = true
-					nodes = append(nodes, nd)
-				}
+			pieces[t][s] = piece{path: fmt.Sprintf("%s.%d.%d", path, b, s), nodes: geom.withBackup(nodes)}
+			if t < mhalf {
+				res.l2.Blocks = append(res.l2.Blocks, blockFile{Path: pieces[t][s].path, R0: lo, R1: hi, C0: klo, C1: khi})
+			} else {
+				res.u2.Blocks = append(res.u2.Blocks, blockFile{Path: pieces[t][s].path, R0: klo, R1: khi, C0: lo, C1: hi,
+					Transposed: opts.TransposeU})
 			}
 		}
-		return nodes
-	}
-	// Pin each band solver onto the first reader of its segment-0 piece so
-	// at least one slice per band is written locally.
-	geom.mapPrefer = func(t int) []int {
-		b, readers := t, l2Readers
-		if t >= mhalf {
-			b, readers = t-mhalf, u2Readers
-		}
-		if lo, hi := bandBounds(nbot, mhalf, b); lo != hi {
-			if nodes := readers(lo, hi, 0); len(nodes) > 0 {
-				return []int{nodes[0]}
-			}
-		}
-		return []int{t % m0}
 	}
 
 	writePieces := func(ctx *mapreduce.TaskContext, t int) error {
+		if pieces[t] == nil {
+			return nil
+		}
 		rd := nodeReader{fs: ctx.FS, node: ctx.Node}
+		var band *matrix.Dense
+		var err error
 		if t < mhalf {
 			lo, hi := bandBounds(nbot, mhalf, t)
-			if lo == hi {
-				return nil
-			}
-			band, err := solveL2Band(rd, st, lo, hi, h1, a3ref)
-			if err != nil {
+			if band, err = solveL2Band(rd, st, lo, hi, h1, a3ref); err != nil {
 				return fmt.Errorf("core: L2' mapper %d: %w", t, err)
 			}
-			for s := 0; s < pl.rho; s++ {
-				klo, khi := geom.seg(s)
-				if klo == khi {
-					continue
-				}
-				if err := ctx.FS.WriteMatrixFrom(fmt.Sprintf("%s/L2/L.%d.%d", dir, t, s),
-					band.Block(0, hi-lo, klo, khi), ctx.Node,
-					geom.withBackup(l2Readers(lo, hi, s))); err != nil {
-					return err
-				}
-			}
 			ctx.IncrCounter("l2.elements", int64(hi-lo)*int64(h))
-			return nil
+		} else {
+			lo, hi := bandBounds(nbot, mhalf, t-mhalf)
+			if band, err = solveU2Band(rd, st, lo, hi, h1, a2ref); err != nil {
+				return fmt.Errorf("core: U2 mapper %d: %w", t-mhalf, err)
+			}
+			if opts.TransposeU {
+				band = band.Transpose()
+			}
+			ctx.IncrCounter("u2.elements", int64(hi-lo)*int64(h))
 		}
-		b := t - mhalf
-		lo, hi := bandBounds(nbot, mhalf, b)
-		if lo == hi {
-			return nil
-		}
-		band, err := solveU2Band(rd, st, lo, hi, h1, a2ref)
-		if err != nil {
-			return fmt.Errorf("core: U2 mapper %d: %w", b, err)
-		}
-		bandT := band.Transpose()
-		for s := 0; s < pl.rho; s++ {
+		for s, pc := range pieces[t] {
 			klo, khi := geom.seg(s)
 			if klo == khi {
 				continue
 			}
-			if err := ctx.FS.WriteMatrixFrom(fmt.Sprintf("%s/U2/U.%d.%d", dir, b, s),
-				bandT.Block(0, hi-lo, klo, khi), ctx.Node,
-				geom.withBackup(u2Readers(lo, hi, s))); err != nil {
+			blk := band
+			switch {
+			case pl.rho == 1: // the whole band is the only piece
+			case t < mhalf || opts.TransposeU: // inner dimension along the columns
+				blk = band.Block(0, band.Rows, klo, khi)
+			default:
+				blk = band.Block(klo, khi, 0, band.Cols)
+			}
+			if err := ctx.FS.WriteMatrixFrom(pc.path, blk, ctx.Node, pc.nodes); err != nil {
 				return err
 			}
 		}
-		ctx.IncrCounter("u2.elements", int64(hi-lo)*int64(h))
 		return nil
 	}
 	readA := func(rd nodeReader, i, s int) (*matrix.Dense, error) {
@@ -432,6 +269,17 @@ func (st *pipelineState) runLevelJobMulti(node *nodeInput, h int, h1 *luHandle, 
 		clo, chi := geom.colBand(j)
 		klo, khi := geom.seg(s)
 		return readRegionTransposed(rd, res.u2, clo, chi, klo, khi)
+	}
+	res.bRef = matRef{Rows: nbot, Cols: nbot}
+	for i := 0; i < pl.g1; i++ {
+		rlo, rhi := geom.rowBand(i)
+		for j := 0; j < pl.g2; j++ {
+			if clo, chi := geom.colBand(j); rlo != rhi && clo != chi {
+				res.bRef.Blocks = append(res.bRef.Blocks, blockFile{
+					Path: fmt.Sprintf("%s/OUT/A.%d", dir, geom.sumNode(i, j)), R0: rlo, R1: rhi, C0: clo, C1: chi,
+				})
+			}
+		}
 	}
 	finish := func(ctx *mapreduce.TaskContext, i, j int, blk *matrix.Dense) error {
 		rlo, rhi := geom.rowBand(i)
@@ -445,10 +293,10 @@ func (st *pipelineState) runLevelJobMulti(node *nodeInput, h int, h1 *luHandle, 
 			return err
 		}
 		ctx.IncrCounter("b.elements", int64(a4blk.Rows)*int64(a4blk.Cols))
-		return ctx.FS.WriteMatrix(fmt.Sprintf("%s/OUT/A.%d", dir, i*pl.g2+j), a4blk)
+		return ctx.FS.WriteMatrix(fmt.Sprintf("%s/OUT/A.%d", dir, geom.sumNode(i, j)), a4blk)
 	}
 	run := func(job *mapreduce.Job) error {
-		job.Priority = st.opts.Priority
+		job.Priority = opts.Priority
 		job.TraceParent = st.span
 		jr, err := st.cluster.RunCtx(st.runCtx(), job)
 		if err != nil {
@@ -485,19 +333,6 @@ func solveL2Band(rd nodeReader, st *pipelineState, lo, hi int, h1 *luHandle, a3r
 	return lu.SolveRowsUpper(u1, a3band)
 }
 
-// computeL2Band solves fine band j of L2' and stores it as one file.
-func computeL2Band(rd nodeReader, st *pipelineState, dir string, j, mhalf, nbot int, h1 *luHandle, a3ref matRef) error {
-	lo, hi := bandBounds(nbot, mhalf, j)
-	if lo == hi {
-		return nil
-	}
-	band, err := solveL2Band(rd, st, lo, hi, h1, a3ref)
-	if err != nil {
-		return fmt.Errorf("core: L2' mapper %d: %w", j, err)
-	}
-	return st.fs.WriteMatrix(fmt.Sprintf("%s/L2/L.%d", dir, j), band)
-}
-
 // solveU2Band computes columns [lo, hi) of U2 from L1 U2 = P1 A2
 // (Equation 6, second line — forward substitution with unit L1),
 // returned in natural (untransposed) orientation.
@@ -511,69 +346,6 @@ func solveU2Band(rd nodeReader, st *pipelineState, lo, hi int, h1 *luHandle, a2r
 		return nil, err
 	}
 	return lu.ForwardSubstMatrix(l1, h1.p.ApplyRows(a2band), true)
-}
-
-// computeU2Band solves fine band j of U2 and stores it as one file,
-// transposed under the Section 6.3 optimization.
-func computeU2Band(rd nodeReader, st *pipelineState, dir string, j, mhalf, nbot int, h1 *luHandle, a2ref matRef) error {
-	lo, hi := bandBounds(nbot, mhalf, j)
-	if lo == hi {
-		return nil
-	}
-	band, err := solveU2Band(rd, st, lo, hi, h1, a2ref)
-	if err != nil {
-		return fmt.Errorf("core: U2 mapper %d: %w", j, err)
-	}
-	if st.opts.TransposeU {
-		band = band.Transpose()
-	}
-	return st.fs.WriteMatrix(fmt.Sprintf("%s/U2/U.%d", dir, j), band)
-}
-
-// computeBBlock computes one block-wrap block of B = A4 - L2'U2
-// (Figure 5's reduce side) and writes it to OUT/A.<r>.
-func computeBBlock(rd nodeReader, st *pipelineState, dir string, r, f1, f2, nbot int, a4ref matRef, res *levelResult) error {
-	rg, cg := r/f2, r%f2
-	rlo, rhi := bandBounds(nbot, f1, rg)
-	clo, chi := bandBounds(nbot, f2, cg)
-	if rlo == rhi || clo == chi {
-		return nil
-	}
-	a4blk, err := readRegion(rd, a4ref, rlo, rhi, clo, chi)
-	if err != nil {
-		return fmt.Errorf("core: reducer %d A4: %w", r, err)
-	}
-	l2rows, err := readRegion(rd, res.l2, rlo, rhi, 0, res.l2.Cols)
-	if err != nil {
-		return fmt.Errorf("core: reducer %d L2': %w", r, err)
-	}
-	var prod *matrix.Dense
-	if st.opts.TransposeU {
-		// Read the needed U2 columns in transposed orientation and use the
-		// Equation 8 row-dot kernel (Section 6.3).
-		u2t, err := readRegionTransposed(rd, res.u2, clo, chi, 0, res.u2.Rows)
-		if err != nil {
-			return fmt.Errorf("core: reducer %d U2^T: %w", r, err)
-		}
-		prod, err = matrix.MulTransB(l2rows, u2t)
-		if err != nil {
-			return err
-		}
-	} else {
-		u2cols, err := readRegion(rd, res.u2, 0, res.u2.Rows, clo, chi)
-		if err != nil {
-			return fmt.Errorf("core: reducer %d U2: %w", r, err)
-		}
-		// Unoptimized column-walk kernel (Equation 7).
-		prod, err = matrix.MulNaiveColumnOrder(l2rows, u2cols)
-		if err != nil {
-			return err
-		}
-	}
-	if err := matrix.SubInPlace(a4blk, prod); err != nil {
-		return err
-	}
-	return st.fs.WriteMatrix(fmt.Sprintf("%s/OUT/A.%d", dir, r), a4blk)
 }
 
 // readRegionTransposed reads rows [clo, chi) x cols [klo, khi) of the

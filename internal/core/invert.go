@@ -31,10 +31,7 @@ func (st *pipelineState) runInvertJob(hd *luHandle) (*matrix.Dense, error) {
 	m0 := st.opts.Nodes
 	mhalf := m0 / 2
 	n := hd.n
-	f1, f2 := FactorPair(m0)
-	if !st.opts.BlockWrap {
-		f1, f2 = m0, 1
-	}
+	f1, f2 := blockWrapGrid(st.opts)
 	root := st.opts.Root
 	p := hd.p
 
@@ -43,11 +40,7 @@ func (st *pipelineState) runInvertJob(hd *luHandle) (*matrix.Dense, error) {
 		Splits:    mapreduce.ControlSplits(m0),
 		NumReduce: m0,
 		Priority:  st.opts.Priority,
-		Partition: func(key string, nred int) int {
-			var v int
-			fmt.Sscanf(key, "%d", &v)
-			return v % nred
-		},
+		Partition: numericPartition,
 		Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 			j := split.ID
 			rd := nodeReader{fs: ctx.FS, node: ctx.Node}

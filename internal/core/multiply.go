@@ -53,6 +53,7 @@ func (p *Pipeline) MultiplyWithReport(a, b *matrix.Dense) (*matrix.Dense, *Multi
 		rows: a.Rows, inner: a.Cols, cols: b.Cols,
 		root:    p.Opts.Root + "/MUL",
 		durable: p.Cluster.Faults != nil,
+		pin:     true,
 	}
 	p.FS.DeleteTree(geom.root)
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 )
@@ -59,10 +61,7 @@ func (pl mulPlan) jobs() int {
 // rows x inner by inner x cols product on opts.Nodes nodes.
 func planMultiply(opts Options, rows, inner, cols int) mulPlan {
 	m0 := opts.Nodes
-	f1, f2 := FactorPair(m0)
-	if !opts.BlockWrap {
-		f1, f2 = m0, 1
-	}
+	f1, f2 := blockWrapGrid(opts)
 	single := mulPlan{strategy: MultiplySingleRound, g1: f1, g2: f2, rho: 1}
 	switch opts.Multiply {
 	case MultiplyReplicated:
@@ -145,16 +144,20 @@ type mulGeom struct {
 	m0                int
 	rows, inner, cols int
 	root              string
-	// durable gives single-replica intermediates (partials, round state,
-	// narrow pieces) a backup replica so a node kill under fault
-	// injection cannot strand the only copy. Off in clean runs, where it
-	// would distort the transfer accounting the CI gate pins.
+	// durable pads the favored placement of every intermediate (pieces,
+	// partials, round state) to dfs.DefaultReplication nodes, so the
+	// node kills of fault injection cannot strand every copy. Off in clean
+	// runs, where it would distort the transfer accounting the CI gate
+	// pins.
 	durable bool
-	// mapPrefer overrides the piece-writing map tasks' placement; nil
-	// pins map task t to node t % m0 (right when task t's pieces are read
-	// on node t, as in the standalone multiply's task grid). The block-LU
-	// levels pin each band solver onto a reader of its own pieces instead.
-	mapPrefer func(t int) []int
+	// pin runs every task on its deterministic node under
+	// StrictLocality: map task and reducer t on node t, sum task (i, j) on
+	// sumNode(i, j). Favored-placement reads and writes then stay local
+	// and JobResult.TransferredBytes is exactly reproducible, which the
+	// standalone product's CI transfer gate needs. Unpinned (the block-LU
+	// levels), tasks run on whichever worker is free: the pieces still
+	// land on their readers, but no phase waits for particular workers.
+	pin bool
 }
 
 // split decomposes reduce task t of the first job into (segment, i, j).
@@ -209,12 +212,21 @@ func (g mulGeom) btPieceReaders(j, s int) []int {
 	return nodes
 }
 
-// withBackup pads a placement to two replicas under fault injection.
+// withBackup pads a placement under fault injection to
+// dfs.DefaultReplication distinct nodes (at most m0), taking the nodes
+// after nodes[0] in ring order — the copies a plain dfs Write keeps.
 func (g mulGeom) withBackup(nodes []int) []int {
-	if !g.durable || len(nodes) >= 2 || g.m0 < 2 || len(nodes) == 0 {
+	want := min(dfs.DefaultReplication, g.m0)
+	if !g.durable || len(nodes) == 0 || len(nodes) >= want {
 		return nodes
 	}
-	return append(nodes, (nodes[0]+1)%g.m0)
+	out := append(make([]int, 0, want), nodes...)
+	for k := nodes[0] + 1; len(out) < want; k++ {
+		if nd := k % g.m0; !slices.Contains(out, nd) {
+			out = append(out, nd)
+		}
+	}
+	return out
 }
 
 // pieceWriter materializes the operand pieces owned by map task t,
@@ -247,16 +259,17 @@ func numericPartition(key string, n int) int {
 // reducers form (partial) products, then the plan's extra rounds. run
 // executes a job through the caller (attaching spans, recording results);
 // writePieces, readA, readBT and finish bind the product's operands and
-// output. Every task is pinned to its deterministic node via Prefer /
-// PreferReduce so favored-placement reads stay local and the transfer
-// accounting is reproducible.
+// output. With geom.pin every job's Prefer / PreferReduce table pins
+// task t to node t (t < m0 indexes both the task grid and the sum grid).
 func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 	writePieces pieceWriter, readA, readBT segReader, finish finishFunc) error {
 	pl := geom.plan
-	prefer := func(t int) []int { return []int{t % geom.m0} }
-	mapPrefer := geom.mapPrefer
-	if mapPrefer == nil {
-		mapPrefer = prefer
+	var prefer [][]int
+	if geom.pin {
+		prefer = make([][]int, geom.m0)
+		for t := range prefer {
+			prefer[t] = []int{t}
+		}
 	}
 	grid := pl.g1 * pl.g2
 
@@ -292,9 +305,9 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 			Splits:         mapreduce.ControlSplits(geom.m0),
 			NumReduce:      geom.m0,
 			Partition:      numericPartition,
-			Prefer:         mapPrefer,
+			Prefer:         prefer,
 			PreferReduce:   prefer,
-			StrictLocality: true,
+			StrictLocality: geom.pin,
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				if err := writePieces(ctx, split.ID); err != nil {
 					return err
@@ -339,7 +352,7 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 			Name:           names.sum,
 			Splits:         mapreduce.ControlSplits(grid),
 			Prefer:         prefer,
-			StrictLocality: true,
+			StrictLocality: geom.pin,
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				r := split.ID
 				i, j := r/pl.g2, r%pl.g2
@@ -378,9 +391,9 @@ func runMulRounds(geom mulGeom, names mulNames, run func(*mapreduce.Job) error,
 			Splits:         mapreduce.ControlSplits(geom.m0),
 			NumReduce:      grid,
 			Partition:      numericPartition,
-			Prefer:         mapPrefer,
+			Prefer:         prefer,
 			PreferReduce:   prefer,
-			StrictLocality: true,
+			StrictLocality: geom.pin,
 			Config:         map[string]string{"round": fmt.Sprintf("%d", t)},
 			Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 				if t == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dfs"
@@ -346,24 +347,34 @@ func TestRoundsForMemoryEdgeCases(t *testing.T) {
 	}
 }
 
+// Under fault injection withBackup pads a favored placement to
+// dfs.DefaultReplication distinct nodes (at most m0) in ring order after
+// the first node; clean runs keep the placement exactly.
 func TestWithBackupPlacement(t *testing.T) {
-	durable := mulGeom{m0: 4, durable: true}
-	if got := durable.withBackup([]int{2}); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("backup for [2] = %v, want [2 3]", got)
+	cases := []struct {
+		m0      int
+		durable bool
+		in      []int
+		want    []int
+	}{
+		{4, true, []int{2}, []int{2, 3, 0}},
+		{4, true, []int{3}, []int{3, 0, 1}},       // wraps past the last node
+		{4, true, []int{1, 2}, []int{1, 2, 3}},    // two copies gain a third
+		{4, true, []int{2, 3}, []int{2, 3, 0}},    // padding skips held nodes
+		{4, true, []int{0, 1, 2}, []int{0, 1, 2}}, // already at replication
+		{2, true, []int{1}, []int{1, 0}},          // capped at m0
+		{1, true, []int{0}, []int{0}},
+		{4, false, []int{2}, []int{2}}, // clean runs keep exact placement
 	}
-	if got := durable.withBackup([]int{3}); len(got) != 2 || got[1] != 0 {
-		t.Fatalf("backup for [3] = %v, want wrap to node 0", got)
-	}
-	if got := durable.withBackup([]int{1, 2}); len(got) != 2 {
-		t.Fatalf("two replicas gained a backup: %v", got)
-	}
-	clean := mulGeom{m0: 4, durable: false}
-	if got := clean.withBackup([]int{2}); len(got) != 1 {
-		t.Fatalf("clean run gained a backup: %v", got)
-	}
-	tiny := mulGeom{m0: 1, durable: true}
-	if got := tiny.withBackup([]int{0}); len(got) != 1 {
-		t.Fatalf("single-node cluster gained a backup: %v", got)
+	for _, c := range cases {
+		g := mulGeom{m0: c.m0, durable: c.durable}
+		in := append([]int(nil), c.in...)
+		if got := g.withBackup(in); !slices.Equal(got, c.want) {
+			t.Errorf("m0=%d durable=%v: withBackup(%v) = %v, want %v", c.m0, c.durable, c.in, got, c.want)
+		}
+		if !slices.Equal(in, c.in) {
+			t.Errorf("m0=%d: withBackup modified its argument: %v", c.m0, in)
+		}
 	}
 }
 

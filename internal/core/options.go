@@ -233,6 +233,16 @@ func FactorPair(m0 int) (f1, f2 int) {
 	return m0 / f2, f2
 }
 
+// blockWrapGrid returns the reducer grid f1 x f2 of the pipeline's
+// distributed products: the Section 6.2 block wrap FactorPair(Nodes), or
+// with BlockWrap off the naive layout of Nodes full row bands.
+func blockWrapGrid(opts Options) (f1, f2 int) {
+	if !opts.BlockWrap {
+		return opts.Nodes, 1
+	}
+	return FactorPair(opts.Nodes)
+}
+
 // naiveReadVolume returns the total bytes-equivalent element reads of the
 // naive multiplication layout on m0 nodes for an n x n product:
 // (m0 + 1) n^2 elements (Section 6.2).

@@ -70,24 +70,24 @@ func splitPoint(n int) int { return (n + 1) / 2 }
 // partitionJob builds the map-only partition job for an input matrix
 // stored as m0 row-band files under root/input/R.<j>. Map tasks prefer
 // the datanodes holding their input band (Hadoop's data-local placement),
-// which the engine honors through delay scheduling.
+// which the engine honors through delay scheduling; the bands must be
+// written before the job is built, since their replicas are looked up
+// here once.
 func partitionJob(opts Options, n int, fs *dfs.FS) *mapreduce.Job {
 	m0 := opts.Nodes
+	prefer := make([][]int, m0)
+	for j := range prefer {
+		path := fmt.Sprintf("%s/input/R.%d", opts.Root, j)
+		if opts.TextInput {
+			path += ".txt"
+		}
+		prefer[j], _ = fs.Replicas(path) // a missing band runs anywhere
+	}
 	return &mapreduce.Job{
 		Name:     "partition",
 		Splits:   mapreduce.ControlSplits(m0),
 		Priority: opts.Priority,
-		Prefer: func(task int) []int {
-			path := fmt.Sprintf("%s/input/R.%d", opts.Root, task)
-			if opts.TextInput {
-				path += ".txt"
-			}
-			reps, err := fs.Replicas(path)
-			if err != nil {
-				return nil
-			}
-			return reps
-		},
+		Prefer:   prefer,
 		Map: func(ctx *mapreduce.TaskContext, split mapreduce.InputSplit, emit mapreduce.Emitter) error {
 			j := split.ID
 			r0, r1 := bandBounds(n, m0, j)
@@ -154,10 +154,7 @@ func (p *partitioner) descend(dir string, n int, band *matrix.Dense, bandOff int
 		p.save(fmt.Sprintf("%s/A3/A.%d", dir, p.mapperID), bot.Block(0, bot.Rows, 0, h), botLo-h, r1-h, 0, h)
 		// A4: split into f2 column groups for the block-wrap reducers
 		// (Algorithm 3 lines 19-25).
-		_, f2 := FactorPair(p.opts.Nodes)
-		if !p.opts.BlockWrap {
-			f2 = 1 // naive layout: single column group
-		}
+		_, f2 := blockWrapGrid(p.opts)
 		for cg := 0; cg < f2; cg++ {
 			clo, chi := bandBounds(n-h, f2, cg)
 			if clo == chi {

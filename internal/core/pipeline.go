@@ -303,10 +303,7 @@ func (p *Pipeline) InvertCtx(ctx context.Context, a *matrix.Dense) (*matrix.Dens
 			BytesReReplicated: after.BytesReReplicated - statsBefore.BytesReReplicated,
 		},
 	}
-	rep.F1, rep.F2 = FactorPair(p.Opts.Nodes)
-	if !p.Opts.BlockWrap {
-		rep.F1, rep.F2 = p.Opts.Nodes, 1
-	}
+	rep.F1, rep.F2 = blockWrapGrid(p.Opts)
 	return inv, rep, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -19,14 +20,26 @@ import (
 // bit-identical to the fault-free answer. Zero wrong answers, zero
 // failures.
 func TestFleetSurvivesShardChaosBitIdentical(t *testing.T) {
+	for _, strategy := range []core.MultiplyStrategy{core.MultiplySingleRound, core.MultiplyReplicated, core.MultiplySpaceRound} {
+		t.Run(string(strategy), func(t *testing.T) { shardChaosDrill(t, strategy) })
+	}
+}
+
+// shardChaosDrill runs the drill with every block-LU level's product on
+// one multiply strategy, in the chaos shard and the clean fleet alike
+// (the strategies differ in summation order, so in bits).
+func shardChaosDrill(t *testing.T, strategy core.MultiplyStrategy) {
 	const shards = 2
 
 	// Fault-free reference fleet: same shard shape, no chaos. Digest
 	// routing is deterministic, so request i runs under identical pipeline
 	// options in both fleets and must produce identical bits.
-	clean := mustFleet(t, Config{Shards: shards, Shard: shardConfig()})
+	cc := shardConfig()
+	cc.Opts.Multiply = strategy
+	clean := mustFleet(t, Config{Shards: shards, Shard: cc})
 
 	sc := shardConfig()
+	sc.Opts.Multiply = strategy
 	sc.Chaos = &chaos.Plan{
 		Seed: 17,
 		Events: []chaos.Event{

@@ -27,8 +27,8 @@ func TestPreferReducePinsReduceTasks(t *testing.T) {
 			fmt.Sscanf(key, "%d", &v)
 			return v % n
 		},
-		Prefer:       func(task int) []int { return []int{task % nodes} },
-		PreferReduce: func(task int) []int { return []int{task % nodes} },
+		Prefer:       preferTable(nodes, func(task int) []int { return []int{task % nodes} }),
+		PreferReduce: preferTable(nodes, func(task int) []int { return []int{task % nodes} }),
 		Map: func(ctx *TaskContext, split InputSplit, emit Emitter) error {
 			emit.Emit(fmt.Sprintf("%d", split.ID), nil)
 			return nil
@@ -71,7 +71,7 @@ func TestStrictLocalityPinsUnderContention(t *testing.T) {
 	_, err := c.Run(&Job{
 		Name:           "strict-pin",
 		Splits:         ControlSplits(tasks),
-		Prefer:         func(task int) []int { return []int{task % nodes} },
+		Prefer:         preferTable(tasks, func(task int) []int { return []int{task % nodes} }),
 		StrictLocality: true,
 		Map: func(ctx *TaskContext, split InputSplit, emit Emitter) error {
 			time.Sleep(time.Millisecond)
@@ -107,7 +107,7 @@ func TestStrictLocalityWaivesUnsatisfiable(t *testing.T) {
 		_, err = c.Run(&Job{
 			Name:           "strict-waive",
 			Splits:         ControlSplits(nodes),
-			Prefer:         func(task int) []int { return []int{99} },
+			Prefer:         preferTable(nodes, func(int) []int { return []int{99} }),
 			StrictLocality: true,
 			Map: func(ctx *TaskContext, split InputSplit, emit Emitter) error {
 				return nil
@@ -194,4 +194,13 @@ func TestStrictSatisfiable(t *testing.T) {
 	if !few.strictSatisfiable([]int{1}) {
 		t.Fatal("in-range node reported unsatisfiable")
 	}
+}
+
+// preferTable builds a Job.Prefer / PreferReduce table of n entries.
+func preferTable(n int, f func(task int) []int) [][]int {
+	t := make([][]int, n)
+	for i := range t {
+		t[i] = f(i)
+	}
+	return t
 }

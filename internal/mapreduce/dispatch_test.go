@@ -56,7 +56,7 @@ func TestEveryPreferredNodeDead(t *testing.T) {
 		var mu sync.Mutex
 		var seen []placement
 		job := recordingJob(&mu, &seen, 8)
-		job.Prefer = func(int) []int { return []int{2} }
+		job.Prefer = preferTable(8, func(int) []int { return []int{2} })
 		job.PreferReduce = job.Prefer
 		job.StrictLocality = strict
 		res, err := c.Run(job)
@@ -90,8 +90,8 @@ func TestStrictLocalityNeverSpills(t *testing.T) {
 		var mu sync.Mutex
 		var seen []placement
 		job := recordingJob(&mu, &seen, 48)
-		job.Prefer = func(int) []int { return []int{0} }
-		job.PreferReduce = func(r int) []int { return []int{r % 3} }
+		job.Prefer = preferTable(48, func(int) []int { return []int{0} })
+		job.PreferReduce = preferTable(job.NumReduce, func(r int) []int { return []int{r % 3} })
 		job.StrictLocality = true
 		// A short attempt lets the parked workers scan between attempts.
 		inner := job.Map
@@ -170,7 +170,7 @@ func TestRetryWakesIdleWorker(t *testing.T) {
 		Name:           "retry-wake",
 		Splits:         ControlSplits(1),
 		Map:            func(*TaskContext, InputSplit, Emitter) error { return nil },
-		Prefer:         func(int) []int { return []int{0} },
+		Prefer:         [][]int{{0}},
 		StrictLocality: true,
 	})
 	if err != nil {

@@ -20,13 +20,13 @@ func localityJob(fs *dfs.FS, tasks int, withPrefer bool) *Job {
 		},
 	}
 	if withPrefer {
-		job.Prefer = func(task int) []int {
+		job.Prefer = preferTable(tasks, func(task int) []int {
 			reps, err := fs.Replicas(fmt.Sprintf("in/%d", task))
 			if err != nil {
 				return nil
 			}
 			return reps
-		}
+		})
 	}
 	return job
 }
@@ -65,12 +65,12 @@ func TestPreferEmptyAndUnknownIsHarmless(t *testing.T) {
 	job := &Job{
 		Name:   "prefer-nil",
 		Splits: ControlSplits(4),
-		Prefer: func(task int) []int {
+		Prefer: preferTable(4, func(task int) []int {
 			if task%2 == 0 {
 				return nil // unknown placement: run anywhere
 			}
 			return []int{99} // node that does not exist: deferral budget expires
-		},
+		}),
 		Map: func(ctx *TaskContext, split InputSplit, emit Emitter) error {
 			emit.Emit(fmt.Sprintf("%d", split.ID), nil)
 			return nil

@@ -162,20 +162,23 @@ type Job struct {
 	Partition  Partitioner // nil selects defaultPartitioner
 	Config     map[string]string
 	MaxAttempt int // per-task attempt budget; 0 selects the cluster default
-	// Prefer, when non-nil, lists the datanodes holding map task i's
-	// input. The scheduler practices delay scheduling: a worker on a
-	// non-preferred node defers such a task (a bounded number of times)
-	// so a local worker can pick it up, reproducing Hadoop's data-local
-	// task placement. A deferral is one skipped scheduling opportunity:
-	// an idle worker passing the task over while it looks for work.
-	Prefer func(task int) []int
-	// PreferReduce, when non-nil, lists the datanodes that should run
-	// reduce task r — the reduce-side counterpart of Prefer. The
-	// multi-round multiply strategies pin reducers to the nodes holding
-	// their favored-placement input pieces so reads stay local; the same
+	// Prefer[i] lists the datanodes holding map task i's input; a task
+	// past the table's end, or with an empty entry, runs anywhere. The
+	// table is built once with the job, because the scheduler consults
+	// it for every pending task on every claim. The scheduler practices
+	// delay scheduling: a worker on a non-preferred node defers such a
+	// task (a bounded number of times) so a local worker can pick it up,
+	// reproducing Hadoop's data-local task placement. A deferral is one
+	// skipped scheduling opportunity: an idle worker passing the task
+	// over while it looks for work.
+	Prefer [][]int
+	// PreferReduce[r] lists the datanodes that should run reduce task r —
+	// the reduce-side counterpart of Prefer. The standalone multiply
+	// pins its reducers to the nodes holding their favored-placement
+	// input pieces so reads stay local; the same
 	// delay-scheduling budget applies, and a dead preferred node simply
 	// falls back to any worker.
-	PreferReduce func(task int) []int
+	PreferReduce [][]int
 	// StrictLocality removes the bounded delay-scheduling budget: a task
 	// with a preference waits for a preferred worker indefinitely instead
 	// of spilling to whichever node's budget expires first. A preference
@@ -637,7 +640,7 @@ type phaseResult struct {
 // touches the SlotPool; a worker with nothing to claim parks on the wake
 // channel, closed and replaced whenever an enqueue or an attempt end
 // leaves tries pending.
-func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempts int, prefer func(task int) []int, strict bool, phaseSpan *obs.Span, label string, run taskFn) (*phaseResult, error) {
+func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempts int, prefer [][]int, strict bool, phaseSpan *obs.Span, label string, run taskFn) (*phaseResult, error) {
 	pr := &phaseResult{
 		results:  make([]any, n),
 		counters: map[string]int64{},
@@ -650,11 +653,14 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 	}
 	type try struct{ id, attempt, deferred int }
 	deferBudget := deferBudgetPerSlot * c.Slots
-	isPreferred := func(task, node int) bool {
-		if prefer == nil {
-			return true
+	preferred := func(task int) []int {
+		if task < len(prefer) {
+			return prefer[task]
 		}
-		nodes := prefer(task)
+		return nil
+	}
+	isPreferred := func(task, node int) bool {
+		nodes := preferred(task)
 		return len(nodes) == 0 || slices.Contains(nodes, node)
 	}
 	var (
@@ -698,7 +704,7 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 				i--
 			case isPreferred(t.id, node):
 				pick, local = i, true
-			case pick < 0 && !(t.deferred < deferBudget || strict && c.strictSatisfiable(prefer(t.id))):
+			case pick < 0 && !(t.deferred < deferBudget || strict && c.strictSatisfiable(preferred(t.id))):
 				pick = i
 			}
 		}
@@ -999,9 +1005,14 @@ func (c *Cluster) recoverMapOutputs(ctx context.Context, sj *SchedJob, job *Job,
 		}
 		recSpan := jobSpan.Child("map_recovery", obs.KindPhase)
 		recSpan.SetAttr("lost_outputs", int64(len(lost)))
-		var prefer func(int) []int
+		var prefer [][]int
 		if job.Prefer != nil {
-			prefer = func(j int) []int { return job.Prefer(lost[j]) }
+			prefer = make([][]int, len(lost))
+			for j, id := range lost {
+				if id < len(job.Prefer) {
+					prefer[j] = job.Prefer[id]
+				}
+			}
 		}
 		sub, rerr := c.runPhaseLocal(ctx, sj, len(lost), maxAttempts, prefer, job.StrictLocality, recSpan, "map", func(j, attempt, node int) (any, map[string]int64, error) {
 			return mapAttempt(lost[j], attempt, node)
