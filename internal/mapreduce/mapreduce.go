@@ -667,6 +667,7 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 		mu        sync.Mutex
 		pending   = make([]try, n) // FIFO of unclaimed tries
 		inflight  int              // claimed tries whose attempt has not ended
+		idle      int              // workers parked on wake
 		wake      = make(chan struct{})
 		done      = make([]bool, n)
 		running   = make([]int, n)
@@ -689,6 +690,7 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 		}
 		close(wake)
 		wake = make(chan struct{})
+		idle = 0
 	}
 	// claim takes the first pending try that prefers node or, failing
 	// that, the first whose deferral budget is spent. Every try passed
@@ -743,20 +745,29 @@ func (c *Cluster) runPhaseLocal(ctx context.Context, sj *SchedJob, n, maxAttempt
 				if alive {
 					t, ok = claim(node)
 				}
-				parked := wake
-				if ok {
+				switch {
+				case ok:
 					inflight++
-				} else if alive && inflight == 0 && len(pending) > 0 {
-					// Only deferred tries are left and no attempt will end
-					// to wake anyone: yield and re-scan. Each re-scan spends
-					// one deferral, so the budget (under StrictLocality, the
-					// preferred worker's claim) ends the loop; the wake lets
-					// a parked worker on a revived node look again.
+				case inflight == 0 && len(pending) > 0 && idle == c.Slots-1:
+					// Only deferred tries are left, no attempt will end to
+					// wake anyone, and every other worker is parked: wake
+					// them all for another round of scans. A round passes
+					// each try over once per worker, so the deferral budget
+					// (under StrictLocality, the preferred worker's claim)
+					// ends the rounds, and one worker that scans fast cannot
+					// spend the budget while the others wait to run; the
+					// wake also lets a worker on a revived node look again.
 					notify()
-					mu.Unlock()
-					runtime.Gosched()
-					continue
+					if alive {
+						mu.Unlock()
+						runtime.Gosched()
+						continue
+					}
+					idle++
+				default:
+					idle++
 				}
+				parked := wake
 				mu.Unlock()
 				if !ok {
 					select {
